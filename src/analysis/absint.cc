@@ -5,8 +5,7 @@
 
 #include "absint.hh"
 
-#include <deque>
-#include <set>
+#include "worklist.hh"
 
 namespace crisp::analysis
 {
@@ -253,27 +252,50 @@ widenInterval(const Interval& prev, const Interval& next)
     return w;
 }
 
+namespace
+{
+
+/**
+ * Join @p b into @p into in place; with @p flag set, @p b's flag is
+ * taken as that value. The worklist joins every incoming edge this
+ * way, without the copies a per-edge joinState would make.
+ */
+void
+joinInto(AbsState& into, const AbsState& b,
+         const FlagVal* flag = nullptr)
+{
+    if (!b.reachable)
+        return;
+    const FlagVal bf = flag != nullptr ? *flag : b.flag;
+    if (!into.reachable) {
+        into = b;
+        into.flag = bf;
+        return;
+    }
+    into.accum = hull(into.accum, b.accum);
+    into.sp = hull(into.sp, b.sp);
+    into.flag.mayTrue = into.flag.mayTrue || bf.mayTrue;
+    into.flag.mayFalse = into.flag.mayFalse || bf.mayFalse;
+    for (auto it = into.mem.begin(); it != into.mem.end();) {
+        const auto other = b.mem.find(it->first);
+        if (other != b.mem.end()) {
+            it->second = hull(it->second, other->second);
+            if (!it->second.isTop()) {
+                ++it;
+                continue;
+            }
+        }
+        it = into.mem.erase(it); // top on one side: drop the fact
+    }
+}
+
+} // namespace
+
 AbsState
 joinState(const AbsState& a, const AbsState& b)
 {
-    if (!a.reachable)
-        return b;
-    if (!b.reachable)
-        return a;
-    AbsState j;
-    j.reachable = true;
-    j.accum = hull(a.accum, b.accum);
-    j.sp = hull(a.sp, b.sp);
-    j.flag.mayTrue = a.flag.mayTrue || b.flag.mayTrue;
-    j.flag.mayFalse = a.flag.mayFalse || b.flag.mayFalse;
-    for (const auto& [addr, va] : a.mem) {
-        const auto it = b.mem.find(addr);
-        if (it == b.mem.end())
-            continue; // top on the other side: drop the fact
-        const Interval h = hull(va, it->second);
-        if (!h.isTop())
-            j.mem.emplace(addr, h);
-    }
+    AbsState j = a;
+    joinInto(j, b);
     return j;
 }
 
@@ -443,23 +465,88 @@ absAlu(Opcode op, const Interval& a, const Interval& b)
 }
 
 const AbsState&
+AbsIntResult::inAt(Addr pc) const
+{
+    static const AbsState top = AbsState::anyState();
+    const int id = cfg != nullptr ? cfg->indexOf(pc) : -1;
+    return id < 0 ? top : in[static_cast<std::size_t>(id)];
+}
+
+const AbsState&
 AbsIntResult::outAt(Addr pc) const
 {
     static const AbsState top = AbsState::anyState();
-    const auto it = out.find(pc);
-    return it == out.end() ? top : it->second;
+    const int id = cfg != nullptr ? cfg->indexOf(pc) : -1;
+    return id < 0 ? top : out[static_cast<std::size_t>(id)];
 }
+
+std::uint64_t
+absintStepCap(const Cfg& cfg, std::uint64_t cap_override)
+{
+    if (cap_override != 0)
+        return cap_override;
+    return static_cast<std::uint64_t>(cfg.size()) * kAbsintStepsPerNode +
+           256;
+}
+
+namespace
+{
+
+/**
+ * Join into @p into what the edge from predecessor @p pn (OUT state
+ * @p po) carries into the node at @p pc.
+ */
+void
+joinEdge(AbsState& into, const CfgNode& pn, const AbsState& po, Addr pc,
+         bool prune)
+{
+    const DecodedInst& pdi = pn.di;
+    if (pdi.ctl == Ctl::kCall && pc == pdi.callRetPc) {
+        // call -> return-site edge: the callee body between the two
+        // points is unanalyzed, so everything it could touch (CC, the
+        // accumulator, memory, even the SP discipline) is havocked.
+        // Reachability still flows through.
+        static const AbsState havoc = AbsState::anyState();
+        if (po.reachable)
+            joinInto(into, havoc);
+        return;
+    }
+    if (!prune || !po.reachable || !pdi.hasCondBranch() ||
+        pdi.takenPc == pdi.seqPc) {
+        // Unconditional, or a branch to next: both roles, no implied
+        // flag value.
+        joinInto(into, po);
+        return;
+    }
+
+    bool edge_flag;
+    if (pc == pdi.takenPc) {
+        edge_flag = pdi.ctl == Ctl::kCondT;
+    } else if (pc == pdi.seqPc) {
+        edge_flag = pdi.ctl == Ctl::kCondF;
+    } else {
+        joinInto(into, po); // wild-target edge kept by validation
+        return;
+    }
+
+    // Traversing this edge means the flag held edge_flag: infeasible
+    // when the OUT state excludes that value, refining otherwise.
+    if (!(edge_flag ? po.flag.mayTrue : po.flag.mayFalse))
+        return;
+    const FlagVal known = FlagVal::known(edge_flag);
+    joinInto(into, po, &known);
+}
+
+} // namespace
 
 AbsIntResult
 interpret(const Cfg& cfg, const AbsIntOptions& opts)
 {
     AbsIntResult r;
+    r.cfg = &cfg;
     const Program& prog = cfg.program();
-
-    for (const auto& [pc, n] : cfg.nodes()) {
-        r.in.emplace(pc, AbsState{});
-        r.out.emplace(pc, AbsState{});
-    }
+    r.in.resize(cfg.size());
+    r.out.resize(cfg.size());
 
     AbsState boundary;
     boundary.reachable = true;
@@ -471,78 +558,46 @@ interpret(const Cfg& cfg, const AbsIntOptions& opts)
     // for a branch issued before any compare.
     boundary.flag = FlagVal::known(false);
 
-    const bool entry_ok = cfg.has(prog.entry);
-    if (!entry_ok)
+    const int entry = cfg.indexOf(prog.entry);
+    if (entry < 0)
         return r;
 
-    std::deque<Addr> work{prog.entry};
-    std::set<Addr> queued{prog.entry};
-    std::map<Addr, int> joins;
+    NodeQueue work(cfg.size());
+    work.push(entry);
+    std::vector<int> joins(cfg.size(), 0);
 
-    const std::uint64_t step_cap =
-        opts.stepCap != 0
-            ? opts.stepCap
-            : static_cast<std::uint64_t>(cfg.nodes().size()) *
-                      kAbsintStepsPerNode +
-                  256;
-
-    while (!work.empty()) {
-        if (++r.steps > step_cap) {
-            // Sound bail-out: every discovered issue point is concretely
-            // reachable, so all-top over-approximates any fixpoint.
-            r.converged = false;
-            for (auto& [pc, st] : r.in)
-                st = AbsState::anyState();
-            for (auto& [pc, st] : r.out)
-                st = AbsState::anyState();
-            return r;
+    const auto step = [&](int id) {
+        const CfgNode& n = cfg.at(id);
+        const Addr pc = n.di.pc;
+        AbsState i = id == entry ? boundary : AbsState{};
+        for (const int p : n.predIds) {
+            joinEdge(i, cfg.at(p), r.out[static_cast<std::size_t>(p)],
+                     pc, opts.pruneEdges);
         }
 
-        const Addr pc = work.front();
-        work.pop_front();
-        queued.erase(pc);
-        const CfgNode& n = cfg.node(pc);
-
-        AbsState i = pc == prog.entry ? boundary : AbsState{};
-        for (const Addr p : n.preds) {
-            const DecodedInst& pdi = cfg.node(p).di;
-            const AbsState& po = r.out.at(p);
-            if (pdi.ctl == Ctl::kCall && pc == pdi.callRetPc) {
-                // call -> return-site edge: the callee body between
-                // the two points is unanalyzed, so everything it could
-                // touch (CC, accumulator, memory, even SP discipline)
-                // is havocked. Reachability still flows through.
-                if (po.reachable)
-                    i = joinState(i, AbsState::anyState());
-            } else {
-                i = joinState(i, po);
-            }
-        }
-
-        AbsState& in_slot = r.in.at(pc);
+        AbsState& in_slot = r.in[static_cast<std::size_t>(id)];
         if (!(i == in_slot)) {
-            if (++joins[pc] > kAbsintWidenJoins)
+            if (++joins[static_cast<std::size_t>(id)] > kAbsintWidenJoins)
                 i = widenAbsState(in_slot, i, r.widenings);
-            in_slot = i;
+            in_slot = std::move(i);
         }
 
-        AbsState o;
-        if (!i.reachable) {
-            o = AbsState{};
-        } else if (n.di.totalParcels <= 0) {
-            o = i; // decode-error placeholder: no modeled effect
-        } else {
-            o = absTransfer(n.di, i);
-        }
+        if (!in_slot.reachable)
+            return AbsState{};
+        if (n.di.totalParcels <= 0)
+            return in_slot; // decode-error placeholder: no modeled effect
+        return absTransfer(n.di, in_slot);
+    };
 
-        AbsState& out_slot = r.out.at(pc);
-        if (o == out_slot)
-            continue;
-        out_slot = std::move(o);
-        for (const Addr s : n.succs) {
-            if (queued.insert(s).second)
-                work.push_back(s);
-        }
+    if (!runWorklist(cfg, work, r.out, /*backward=*/false,
+                     absintStepCap(cfg, opts.stepCap), r.steps, step)) {
+        // Sound bail-out: every discovered issue point is concretely
+        // reachable, so all-top over-approximates any fixpoint.
+        r.converged = false;
+        for (AbsState& st : r.in)
+            st = AbsState::anyState();
+        for (AbsState& st : r.out)
+            st = AbsState::anyState();
     }
     return r;
 }

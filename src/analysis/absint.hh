@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "cfg.hh"
 
@@ -155,8 +156,8 @@ inline constexpr std::uint64_t kAbsintStepsPerNode = 64;
 
 /**
  * Abstract OUT state of @p di applied to reachable state @p in — the
- * transfer function shared by interpret() and the sparse conditional
- * constant propagation in sccp.cc.
+ * transfer function of interpret(), shared with the value-set phase of
+ * the target analysis (targets.cc).
  */
 AbsState absTransfer(const DecodedInst& di, const AbsState& in);
 
@@ -167,9 +168,12 @@ AbsState widenAbsState(const AbsState& prev, const AbsState& next,
 /** Fixpoint result of one interpretation run. */
 struct AbsIntResult
 {
-    /** Pre-/post-state per issue point, keyed like Cfg::nodes(). */
-    std::map<Addr, AbsState> in;
-    std::map<Addr, AbsState> out;
+    /** The graph the fixpoint ran over (must outlive the result). */
+    const Cfg* cfg = nullptr;
+
+    /** Pre-/post-state per issue point, indexed by CfgNode::id. */
+    std::vector<AbsState> in;
+    std::vector<AbsState> out;
 
     /** False when the step cap tripped and everything degraded to top
      *  (still sound, no longer precise). */
@@ -181,7 +185,8 @@ struct AbsIntResult
     /** Widening applications (loop-head interval escalations). */
     int widenings = 0;
 
-    /** OUT state at @p pc; top if the node is unknown. */
+    /** IN / OUT state at @p pc; top if the node is unknown. */
+    const AbsState& inAt(Addr pc) const;
     const AbsState& outAt(Addr pc) const;
 };
 
@@ -191,12 +196,28 @@ struct AbsIntOptions
     /** Step-cap override; 0 keeps the nodes-proportional default.
      *  Directed tests use a tiny cap to exercise the all-top bail. */
     std::uint64_t stepCap = 0;
+
+    /**
+     * Let proven branch directions prune edges (sparse conditional
+     * constant propagation, sccp.hh): an edge whose flag value the
+     * predecessor's OUT state excludes carries nothing, and a feasible
+     * conditional edge carries the flag value it implies. Off, every
+     * edge carries its predecessor's state (the plain interpreter).
+     */
+    bool pruneEdges = false;
 };
 
+/** Step cap of a fixpoint over @p cfg: @p cap_override when nonzero,
+ *  else kAbsintStepsPerNode per node plus slack. */
+std::uint64_t absintStepCap(const Cfg& cfg,
+                            std::uint64_t cap_override = 0);
+
 /**
- * Run the abstract interpreter to fixpoint over @p cfg. Decode-error
- * placeholder nodes pass their input through unchanged (they have no
- * successors anyway).
+ * Run the abstract interpreter to fixpoint over @p cfg: one FIFO
+ * worklist from the program entry, widening each node's IN state after
+ * kAbsintWidenJoins changes. Decode-error placeholder nodes pass their
+ * input through unchanged (they have no successors anyway). The call
+ * -> return-site edge joins as all-top (reachability only).
  */
 AbsIntResult interpret(const Cfg& cfg, const AbsIntOptions& opts = {});
 

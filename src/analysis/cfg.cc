@@ -169,6 +169,42 @@ Cfg::discover()
         n.preds.erase(std::unique(n.preds.begin(), n.preds.end()),
                       n.preds.end());
     }
+
+    // Number the nodes in address order; the id lists keep the sorted
+    // order of the address lists they mirror.
+    byId_.reserve(nodes_.size());
+    for (auto& [pc, n] : nodes_) {
+        n.id = static_cast<int>(byId_.size());
+        byId_.push_back(&n);
+    }
+    for (auto& [pc, n] : nodes_) {
+        for (const Addr s : n.succs)
+            n.succIds.push_back(nodes_.at(s).id);
+        for (const Addr p : n.preds)
+            n.predIds.push_back(nodes_.at(p).id);
+    }
+}
+
+std::vector<bool>
+Cfg::reachableFromEntry() const
+{
+    std::vector<bool> seen(size(), false);
+    const int entry = indexOf(prog_.entry);
+    if (entry < 0)
+        return seen;
+    std::vector<int> stack{entry};
+    seen[static_cast<std::size_t>(entry)] = true;
+    while (!stack.empty()) {
+        const int id = stack.back();
+        stack.pop_back();
+        for (const int s : at(id).succIds) {
+            if (!seen[static_cast<std::size_t>(s)]) {
+                seen[static_cast<std::size_t>(s)] = true;
+                stack.push_back(s);
+            }
+        }
+    }
+    return seen;
 }
 
 void

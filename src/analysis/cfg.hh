@@ -47,6 +47,12 @@ struct CfgNode
     std::vector<Addr> succs;
     /** Predecessor issue-point addresses (deduplicated, sorted). */
     std::vector<Addr> preds;
+    /** Dense node number: the rank of this node's pc in address order
+     *  (index into Cfg::at() and every per-node analysis vector). */
+    int id = -1;
+    /** succs and preds as node numbers, in the same (address) order. */
+    std::vector<int> succIds;
+    std::vector<int> predIds;
     /** Basic block this node belongs to (index into blocks()). */
     int block = -1;
 };
@@ -70,6 +76,10 @@ class Cfg
      */
     Cfg(const Program& prog, FoldPolicy policy);
 
+    // at() points into nodes_; a copy would point into the original.
+    Cfg(const Cfg&) = delete;
+    Cfg& operator=(const Cfg&) = delete;
+
     const Program& program() const { return prog_; }
     FoldPolicy policy() const { return policy_; }
 
@@ -84,6 +94,30 @@ class Cfg
 
     /** All reachable issue points, ordered by address. */
     const std::map<Addr, CfgNode>& nodes() const { return nodes_; }
+
+    /** Number of issue points (node ids run 0 .. size() - 1). */
+    std::size_t size() const { return byId_.size(); }
+
+    /** The node numbered @p id (0 <= id < size()). */
+    const CfgNode&
+    at(int id) const
+    {
+        return *byId_[static_cast<std::size_t>(id)];
+    }
+
+    /** Node number of @p pc, or -1 when it is not an issue point. */
+    int
+    indexOf(Addr pc) const
+    {
+        const auto it = nodes_.find(pc);
+        return it == nodes_.end() ? -1 : it->second.id;
+    }
+
+    /**
+     * Per node id: reached from the program entry along CfgNode::succs,
+     * with no value or flag reasoning (every edge counts as taken).
+     */
+    std::vector<bool> reachableFromEntry() const;
 
     const std::vector<CfgBlock>& blocks() const { return blocks_; }
 
@@ -134,6 +168,7 @@ class Cfg
     Program prog_;
     FoldPolicy policy_;
     std::map<Addr, CfgNode> nodes_;
+    std::vector<const CfgNode*> byId_;
     std::vector<CfgBlock> blocks_;
     std::set<Addr> indTargets_;
     bool hasIndirect_ = false;

@@ -268,7 +268,7 @@ checkCost(const Cfg& cfg, const std::map<Addr, BranchSite>& sites,
 void
 checkDataflow(const Cfg& cfg, const SccpResult& sc,
               const LivenessResult& live, const ReachDefsResult& rd,
-              const AbsIntResult& ai, std::vector<Diagnostic>& diags)
+              std::vector<Diagnostic>& diags)
 {
     for (const DeadStore& d : live.dead) {
         switch (d.kind) {
@@ -301,9 +301,10 @@ checkDataflow(const Cfg& cfg, const SccpResult& sc,
     }
 
     // Issue points the edge-pruned fixpoint proves never execute, as
-    // contiguous runs. Plain absint cannot prune these (they decode
-    // and have structural predecessors); only a constant branch
-    // direction removes them.
+    // contiguous runs. Plain reachability over the CFG edges cannot
+    // prune these (they decode and have structural predecessors); only
+    // a constant branch direction removes them.
+    const std::vector<bool> structurally_live = cfg.reachableFromEntry();
     Addr run_lo = 0;
     Addr run_end = 0;
     int run_n = 0;
@@ -320,11 +321,10 @@ checkDataflow(const Cfg& cfg, const SccpResult& sc,
         run_n = 0;
     };
     for (const auto& [pc, n] : cfg.nodes()) {
-        const auto ait = ai.in.find(pc);
-        const bool structurally_live =
-            ait == ai.in.end() || ait->second.reachable;
-        const bool dead = sc.executable.count(pc) == 0 &&
-                          structurally_live && n.di.totalParcels > 0;
+        const bool dead =
+            !sc.state.in[static_cast<std::size_t>(n.id)].reachable &&
+            structurally_live[static_cast<std::size_t>(n.id)] &&
+            n.di.totalParcels > 0;
         if (!dead) {
             flush();
             continue;
@@ -413,20 +413,15 @@ analyzeProgram(const Program& prog, const AnalysisOptions& opt)
     r.cfg = std::make_shared<Cfg>(prog, opt.policy);
     r.spread = analyzeSpread(*r.cfg);
     r.sites = collectBranchSites(*r.cfg, r.spread);
-    r.absint = interpret(*r.cfg);
-    if (opt.dataflow) {
-        r.sccp = sccp(*r.cfg);
-        r.live = computeLiveness(*r.cfg, r.sccp.state);
-        r.reachdefs = computeReachDefs(*r.cfg, r.sccp.state);
-        r.callgraph = std::make_shared<CallGraph>(*r.cfg);
-        r.targets = analyzeTargets(*r.cfg, *r.callgraph, r.sccp);
-    }
-    // SCCP's edge-pruned fixpoint is at least as precise as plain
-    // absint, so the cost engine sees strictly more constancy proofs.
-    const AbsIntResult& values = opt.dataflow ? r.sccp.state : r.absint;
-    r.cost =
-        computeCost(*r.cfg, r.spread, r.sites, values, opt.costPredict,
-                    opt.dataflow ? &r.targets : nullptr);
+    // One fixpoint: SCCP's edge-pruned interpretation is at least as
+    // precise as the plain one, so every consumer reads it.
+    r.sccp = sccp(*r.cfg);
+    r.live = computeLiveness(*r.cfg, r.sccp.state);
+    r.reachdefs = computeReachDefs(*r.cfg, r.sccp.state);
+    r.callgraph = std::make_shared<CallGraph>(*r.cfg);
+    r.targets = analyzeTargets(*r.cfg, *r.callgraph, r.sccp);
+    r.cost = computeCost(*r.cfg, r.spread, r.sites, r.sccp.state,
+                         opt.costPredict, &r.targets);
 
     checkCfg(*r.cfg, r.diags);
     checkSpread(*r.cfg, r.spread, r.diags);
@@ -435,12 +430,9 @@ analyzeProgram(const Program& prog, const AnalysisOptions& opt)
         checkFold(r.sites, r.diags);
     checkStack(analyzeStackWindow(*r.cfg, opt.stackCacheWords),
                opt.stackCacheWords, r.diags);
-    checkCost(*r.cfg, r.sites, r.cost, values, r.diags);
-    if (opt.dataflow) {
-        checkDataflow(*r.cfg, r.sccp, r.live, r.reachdefs, r.absint,
-                      r.diags);
-        checkTargets(*r.callgraph, r.targets, r.diags);
-    }
+    checkCost(*r.cfg, r.sites, r.cost, r.sccp.state, r.diags);
+    checkDataflow(*r.cfg, r.sccp, r.live, r.reachdefs, r.diags);
+    checkTargets(*r.callgraph, r.targets, r.diags);
 
     // Deterministic report order: (site pc, rule id). Tools diff the
     // JSON/SARIF output against goldens, so ties must not depend on

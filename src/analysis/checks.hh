@@ -97,12 +97,6 @@ struct AnalysisOptions
      * bounded (predictSourceFor maps SimConfig to this).
      */
     PredictSource costPredict = PredictSource::kStaticBit;
-    /**
-     * Run the sparse dataflow passes (SCCP, liveness, reaching
-     * definitions), refine the cost bounds through SCCP's edge-pruned
-     * fixpoint, and emit the dataflow.* rules.
-     */
-    bool dataflow = true;
 };
 
 /** Everything the analyzer derived, plus the diagnostics. */
@@ -113,18 +107,16 @@ struct AnalysisResult
     std::map<Addr, SpreadInfo> spread;
     /** Keyed by branch parcel pc. */
     std::map<Addr, BranchSite> sites;
-    /** Abstract fixpoint over the same CFG (value/flag facts). */
-    AbsIntResult absint;
-    /** SCCP fixpoint (edge-pruned, at least as precise as absint). */
+    /** The value/flag fixpoint over the same CFG: the abstract
+     *  interpreter with edge pruning on (sccp.hh). */
     SccpResult sccp;
-    /** Backward liveness (valid only when options.dataflow was set). */
+    /** Backward liveness. */
     LivenessResult live;
-    /** Reaching definitions + def-use chains (dataflow only). */
+    /** Reaching definitions + def-use chains. */
     ReachDefsResult reachdefs;
-    /** Call graph (functions, call sites, return-site matching);
-     *  built only when options.dataflow is set. */
+    /** Call graph (functions, call sites, return-site matching). */
     std::shared_ptr<const CallGraph> callgraph;
-    /** Per-site indirect/return target sets (dataflow only). */
+    /** Per-site indirect/return target sets. */
     TargetsResult targets;
     /** Per-site static delay bounds derived from all of the above. */
     CostSummary cost;

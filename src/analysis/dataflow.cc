@@ -6,6 +6,9 @@
 #include "dataflow.hh"
 
 #include <algorithm>
+#include <limits>
+
+#include "worklist.hh"
 
 namespace crisp::analysis
 {
@@ -13,28 +16,43 @@ namespace crisp::analysis
 std::map<Addr, SpreadInfo>
 analyzeSpread(const Cfg& cfg)
 {
-    // Slot distance since the last CC writer, saturating at kSlotCap.
-    // Roots start at the cap: before the first compare ever executes
-    // the flag is architecturally final, so a branch there resolves at
-    // issue exactly like a fully spread one.
-    const auto dist = solveForward<int>(
-        cfg, /*boundary=*/kSlotCap, /*top=*/kSlotCap,
-        [](int a, int b) { return std::min(a, b); },
-        [](const CfgNode& n, int in) {
-            if (n.di.totalParcels > 0 && n.di.writesCc)
-                return 0;
-            return std::min(in + 1, kSlotCap);
-        });
+    // Per node IN: the slot distance since the last CC writer,
+    // saturating at kSlotCap, and whether some path reaches the node
+    // with no compare executed at all. The default value is the meet
+    // identity. Roots start at the cap too: before the first compare
+    // ever executes the flag is architecturally final, so a branch
+    // there resolves at issue exactly like a fully spread one.
+    struct Reach
+    {
+        int dist = kSlotCap;
+        bool noCompare = false;
+        bool operator==(const Reach&) const = default;
+    };
+    std::vector<Reach> in(cfg.size());
+    std::vector<Reach> out(cfg.size());
+    NodeQueue work(cfg.size());
+    for (int id = 0; id < static_cast<int>(cfg.size()); ++id)
+        work.push(id);
+    const auto step = [&](int id) {
+        const CfgNode& n = cfg.at(id);
+        Reach i;
+        i.noCompare = n.predIds.empty();
+        for (const int p : n.predIds) {
+            const Reach& po = out[static_cast<std::size_t>(p)];
+            i.dist = std::min(i.dist, po.dist);
+            i.noCompare = i.noCompare || po.noCompare;
+        }
+        in[static_cast<std::size_t>(id)] = i;
+        if (n.di.totalParcels > 0 && n.di.writesCc)
+            return Reach{0, false};
+        return Reach{std::min(i.dist + 1, kSlotCap), i.noCompare};
+    };
+    // Finite lattice, monotone transfer: no step cap needed.
+    std::uint64_t steps = 0;
+    runWorklist(cfg, work, out, /*backward=*/false,
+                std::numeric_limits<std::uint64_t>::max(), steps, step);
 
-    // "Some path reaches this node with no compare executed at all."
-    const auto no_cmp = solveForward<bool>(
-        cfg, /*boundary=*/true, /*top=*/false,
-        [](bool a, bool b) { return a || b; },
-        [](const CfgNode& n, bool in) {
-            return in && !(n.di.totalParcels > 0 && n.di.writesCc);
-        });
-
-    std::map<Addr, SpreadInfo> out;
+    std::map<Addr, SpreadInfo> spread;
     for (const auto& [pc, n] : cfg.nodes()) {
         if (n.di.totalParcels == 0 || !n.di.hasCondBranch())
             continue;
@@ -43,13 +61,14 @@ analyzeSpread(const Cfg& cfg)
         s.branchPc = n.di.branchPc;
         // A branch folded with its own compare issues in the same slot
         // as the CC write: separation zero by definition.
+        const Reach& i = in[static_cast<std::size_t>(n.id)];
         s.issueSlots =
-            n.di.writesCc ? 0 : std::min(dist.at(pc) + 1, kSlotCap);
+            n.di.writesCc ? 0 : std::min(i.dist + 1, kSlotCap);
         s.guaranteedResolved = s.issueSlots >= kResolveSlots;
-        s.compareMayBeMissing = no_cmp.at(pc);
-        out.emplace(pc, s);
+        s.compareMayBeMissing = i.noCompare;
+        spread.emplace_hint(spread.end(), pc, s);
     }
-    return out;
+    return spread;
 }
 
 std::string_view
@@ -134,9 +153,10 @@ collectBranchSites(const Cfg& cfg,
         s.takenPc = di.takenPc;
 
         Occurrence& o = occ[di.branchPc];
+        const auto sp = spread.find(pc);
         const bool guaranteed =
             !di.hasCondBranch() ||
-            (spread.count(pc) != 0 && spread.at(pc).guaranteedResolved);
+            (sp != spread.end() && sp->second.guaranteedResolved);
         if (di.folded) {
             o.folded = true;
             o.foldedGuaranteed = o.foldedGuaranteed && guaranteed;

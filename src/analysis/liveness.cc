@@ -5,7 +5,7 @@
 
 #include "liveness.hh"
 
-#include <deque>
+#include "worklist.hh"
 
 namespace crisp::analysis
 {
@@ -200,14 +200,6 @@ transferBack(const DecodedInst& di, const LiveSet& out,
 
 } // namespace
 
-const LiveSet&
-LivenessResult::outAt(Addr pc) const
-{
-    static const LiveSet all = allLive();
-    const auto it = out.find(pc);
-    return it == out.end() ? all : it->second;
-}
-
 LivenessResult
 computeLiveness(const Cfg& cfg, const AbsIntResult& ai)
 {
@@ -226,85 +218,56 @@ computeLiveness(const Cfg& cfg, const AbsIntResult& ai)
         boundary.mem.gen(a);
     }
 
-    const auto reachable = [&](Addr pc) {
-        const auto it = ai.in.find(pc);
-        return it == ai.in.end() || it->second.reachable;
-    };
-    const auto preState = [&](Addr pc) -> const AbsState& {
-        static const AbsState top = AbsState::anyState();
-        const auto it = ai.in.find(pc);
-        return it == ai.in.end() ? top : it->second;
+    r.in.resize(cfg.size());
+    r.out.resize(cfg.size());
+    const auto reachable = [&](int id) {
+        return ai.in[static_cast<std::size_t>(id)].reachable;
     };
 
-    std::deque<Addr> work;
-    std::set<Addr> queued;
-    for (const auto& [pc, n] : cfg.nodes()) {
-        r.in.emplace(pc, LiveSet{});
-        r.out.emplace(pc, LiveSet{});
-        // Seed back-to-front: roughly one sweep to a fixpoint.
-        work.push_front(pc);
-        queued.insert(pc);
-    }
+    // Seed back-to-front: roughly one sweep to a fixpoint.
+    NodeQueue work(cfg.size());
+    for (int id = static_cast<int>(cfg.size()) - 1; id >= 0; --id)
+        work.push(id);
 
-    const std::uint64_t step_cap =
-        static_cast<std::uint64_t>(cfg.nodes().size()) *
-            kAbsintStepsPerNode +
-        256;
     std::uint64_t steps = 0;
-
-    while (!work.empty()) {
-        if (++steps > step_cap) {
-            // Sound degradation: everything live, nothing dead.
-            r.converged = false;
-            r.dead.clear();
-            for (auto& [pc, s] : r.in)
-                s = allLive();
-            for (auto& [pc, s] : r.out)
-                s = allLive();
-            return r;
-        }
-
-        const Addr pc = work.front();
-        work.pop_front();
-        queued.erase(pc);
-        const CfgNode& n = cfg.node(pc);
-
+    const auto step = [&](int id) {
+        const auto i = static_cast<std::size_t>(id);
         // Abstractly-unreachable nodes (SCCP-pruned arms) never
         // execute; they contribute no liveness and are left empty.
-        if (!reachable(pc))
-            continue;
+        if (!reachable(id))
+            return r.in[i];
 
-        LiveSet o = n.succs.empty() ? boundary : LiveSet{};
-        for (const Addr s : n.succs)
-            o = joinLive(o, r.in.at(s));
-
-        r.out.at(pc) = o;
-        LiveSet i;
+        const CfgNode& n = cfg.at(id);
+        LiveSet o = n.succIds.empty() ? boundary : LiveSet{};
+        for (const int s : n.succIds)
+            o = joinLive(o, r.in[static_cast<std::size_t>(s)]);
+        r.out[i] = o;
         if (n.di.totalParcels <= 0)
-            i = o; // decode-error placeholder
-        else
-            i = transferBack(n.di, o, preState(pc));
+            return o; // decode-error placeholder
+        return transferBack(n.di, o, ai.in[i]);
+    };
 
-        LiveSet& in_slot = r.in.at(pc);
-        if (i == in_slot)
-            continue;
-        in_slot = std::move(i);
-        for (const Addr p : n.preds) {
-            if (queued.insert(p).second)
-                work.push_back(p);
-        }
+    if (!runWorklist(cfg, work, r.in, /*backward=*/true,
+                     absintStepCap(cfg), steps, step)) {
+        // Sound degradation: everything live, nothing dead.
+        r.converged = false;
+        for (LiveSet& s : r.in)
+            s = allLive();
+        for (LiveSet& s : r.out)
+            s = allLive();
+        return r;
     }
 
     // Dead-definition report: reachable nodes whose only effect is
     // provably unobservable. Text-segment stores are never reported
     // (self-modifying code is observable through fetch).
     for (const auto& [pc, n] : cfg.nodes()) {
-        if (!reachable(pc) || n.di.totalParcels <= 0 ||
+        if (!reachable(n.id) || n.di.totalParcels <= 0 ||
             n.di.loneBranch || n.di.ctl == Ctl::kIndirect) {
             continue;
         }
         const Instruction& b = n.di.body;
-        const LiveSet& lo = r.out.at(pc);
+        const LiveSet& lo = r.out[static_cast<std::size_t>(n.id)];
         if (isCompare(b.op)) {
             // A folded branch in this same entry reads the flag the
             // compare just set; live-out alone would miss that.
@@ -326,7 +289,7 @@ computeLiveness(const Cfg& cfg, const AbsIntResult& ai)
              b.dst.mode == AddrMode::kAbs);
         if (!to_mem)
             continue;
-        Xfer x{LiveSet{}, preState(pc)};
+        Xfer x{LiveSet{}, ai.in[static_cast<std::size_t>(n.id)]};
         const auto a = x.address(b.dst);
         if (a && !prog.inText(*a) && !lo.mem.isLive(*a))
             r.dead.push_back({pc, DeadKind::kMemStore, *a});

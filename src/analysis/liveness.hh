@@ -111,18 +111,15 @@ struct DeadStore
 /** Fixpoint result of one backward pass. */
 struct LivenessResult
 {
-    /** Live-in / live-out per issue point, keyed like Cfg::nodes(). */
-    std::map<Addr, LiveSet> in;
-    std::map<Addr, LiveSet> out;
+    /** Live-in / live-out per issue point, indexed by CfgNode::id. */
+    std::vector<LiveSet> in;
+    std::vector<LiveSet> out;
 
     /** Provably-dead definitions, ascending by pc. */
     std::vector<DeadStore> dead;
 
     /** False when the step cap tripped (everything degraded to live). */
     bool converged = true;
-
-    /** Live-out at @p pc; all-live if the node is unknown. */
-    const LiveSet& outAt(Addr pc) const;
 };
 
 /**

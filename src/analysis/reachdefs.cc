@@ -6,7 +6,7 @@
 
 #include "reachdefs.hh"
 
-#include <deque>
+#include "worklist.hh"
 
 namespace crisp::analysis
 {
@@ -127,11 +127,9 @@ transferRd(const DecodedInst& di, const RdState& in, Addr pc,
 }
 
 const AbsState&
-preStateAt(const AbsIntResult& ai, Addr pc)
+preStateAt(const AbsIntResult& ai, const CfgNode& n)
 {
-    static const AbsState top = AbsState::anyState();
-    const auto it = ai.in.find(pc);
-    return it == ai.in.end() ? top : it->second;
+    return ai.in[static_cast<std::size_t>(n.id)];
 }
 
 /** Read-only operand positions of one issue point's body. */
@@ -170,46 +168,24 @@ computeReachDefs(const Cfg& cfg, const AbsIntResult& ai)
     ReachDefsResult r;
     const Program& prog = cfg.program();
 
-    std::map<Addr, RdState> out;
-    for (const auto& [pc, n] : cfg.nodes()) {
-        r.in.emplace(pc, RdState{});
-        out.emplace(pc, RdState{});
-    }
-    if (!cfg.has(prog.entry))
+    r.in.resize(cfg.size());
+    std::vector<RdState> out(cfg.size());
+    const int entry = cfg.indexOf(prog.entry);
+    if (entry < 0)
         return r;
 
-    std::deque<Addr> work{prog.entry};
-    std::set<Addr> queued{prog.entry};
-    const std::uint64_t step_cap =
-        static_cast<std::uint64_t>(cfg.nodes().size()) *
-            kAbsintStepsPerNode +
-        256;
+    NodeQueue work(cfg.size());
+    work.push(entry);
     std::uint64_t steps = 0;
-
-    while (!work.empty()) {
-        if (++steps > step_cap) {
-            // Sound degradation: everything wild everywhere.
-            r.converged = false;
-            for (auto& [pc, s] : r.in) {
-                s.reachable = true;
-                s.defs.clear();
-            }
-            r.defUses.clear();
-            return r;
-        }
-
-        const Addr pc = work.front();
-        work.pop_front();
-        queued.erase(pc);
-        const CfgNode& n = cfg.node(pc);
-
+    const auto step = [&](int id) {
+        const CfgNode& n = cfg.at(id);
         RdState i;
-        if (pc == prog.entry)
+        if (id == entry)
             i.reachable = true;
-        for (const Addr p : n.preds) {
-            const DecodedInst& pdi = cfg.node(p).di;
-            const RdState& po = out.at(p);
-            if (pdi.ctl == Ctl::kCall && pc == pdi.callRetPc) {
+        for (const int p : n.predIds) {
+            const DecodedInst& pdi = cfg.at(p).di;
+            const RdState& po = out[static_cast<std::size_t>(p)];
+            if (pdi.ctl == Ctl::kCall && n.di.pc == pdi.callRetPc) {
                 // Havocked return edge: reachability only.
                 RdState wild;
                 wild.reachable = po.reachable;
@@ -218,32 +194,34 @@ computeReachDefs(const Cfg& cfg, const AbsIntResult& ai)
                 i = joinRd(i, po);
             }
         }
-        r.in.at(pc) = i;
+        RdState& in_slot = r.in[static_cast<std::size_t>(id)];
+        in_slot = std::move(i);
 
-        RdState o;
-        if (!i.reachable)
-            o = RdState{};
-        else if (n.di.totalParcels <= 0)
-            o = i;
-        else
-            o = transferRd(n.di, i, pc, preStateAt(ai, pc));
+        if (!in_slot.reachable)
+            return RdState{};
+        if (n.di.totalParcels <= 0)
+            return in_slot;
+        return transferRd(n.di, in_slot, n.di.pc, preStateAt(ai, n));
+    };
 
-        RdState& slot = out.at(pc);
-        if (o == slot)
-            continue;
-        slot = std::move(o);
-        for (const Addr s : n.succs) {
-            if (queued.insert(s).second)
-                work.push_back(s);
+    if (!runWorklist(cfg, work, out, /*backward=*/false,
+                     absintStepCap(cfg), steps, step)) {
+        // Sound degradation: everything wild everywhere.
+        r.converged = false;
+        for (RdState& s : r.in) {
+            s.reachable = true;
+            s.defs.clear();
         }
+        r.defUses.clear();
+        return r;
     }
 
     // Def-use chains over the fixpoint.
     for (const auto& [pc, n] : cfg.nodes()) {
-        const RdState& i = r.in.at(pc);
+        const RdState& i = r.in[static_cast<std::size_t>(n.id)];
         if (!i.reachable || n.di.totalParcels <= 0)
             continue;
-        const AbsState& pre = preStateAt(ai, pc);
+        const AbsState& pre = preStateAt(ai, n);
         const auto use = [&](LocKey k) {
             for (const Addr d : i.defsOf(k)) {
                 if (d != kWildDef)
@@ -281,12 +259,10 @@ findConstPropUses(const Cfg& cfg, const ReachDefsResult& rd,
 {
     std::vector<ConstUse> uses;
     for (const auto& [pc, n] : cfg.nodes()) {
-        const auto iit = rd.in.find(pc);
-        if (iit == rd.in.end() || !iit->second.reachable ||
-            n.di.totalParcels <= 0) {
+        const RdState& in = rd.in[static_cast<std::size_t>(n.id)];
+        if (!in.reachable || n.di.totalParcels <= 0)
             continue;
-        }
-        const AbsState& pre = preStateAt(ai, pc);
+        const AbsState& pre = preStateAt(ai, n);
         for (const auto& [op, is_dst] : bodyReads(n.di).ops) {
             if (op->mode != AddrMode::kStack &&
                 op->mode != AddrMode::kAbs) {
@@ -295,19 +271,19 @@ findConstPropUses(const Cfg& cfg, const ReachDefsResult& rd,
             const auto a = resolve(*op, pre);
             if (!a)
                 continue;
-            const std::set<Addr> ds =
-                iit->second.defsOf(static_cast<LocKey>(*a));
+            const std::set<Addr> ds = in.defsOf(static_cast<LocKey>(*a));
             if (ds.size() != 1 || *ds.begin() == kWildDef)
                 continue;
             const Addr d = *ds.begin();
             if (!cfg.has(d))
                 continue;
-            const DecodedInst& ddi = cfg.node(d).di;
+            const CfgNode& dn = cfg.node(d);
+            const DecodedInst& ddi = dn.di;
             if (ddi.loneBranch || ddi.body.op != Opcode::kMov ||
                 ddi.body.src.mode != AddrMode::kImm) {
                 continue;
             }
-            const auto da = resolve(ddi.body.dst, preStateAt(ai, d));
+            const auto da = resolve(ddi.body.dst, preStateAt(ai, dn));
             if (!da || *da != *a)
                 continue;
             uses.push_back({pc, is_dst, ddi.body.src.value, d});
@@ -322,14 +298,13 @@ findRedundantCopies(const Cfg& cfg, const ReachDefsResult& rd,
 {
     std::vector<RedundantCopy> found;
     for (const auto& [pc, n] : cfg.nodes()) {
-        const auto iit = rd.in.find(pc);
-        if (iit == rd.in.end() || !iit->second.reachable ||
-            n.di.totalParcels <= 0 || n.di.loneBranch ||
-            n.di.body.op != Opcode::kMov) {
+        const RdState& in = rd.in[static_cast<std::size_t>(n.id)];
+        if (!in.reachable || n.di.totalParcels <= 0 ||
+            n.di.loneBranch || n.di.body.op != Opcode::kMov) {
             continue;
         }
         const Instruction& b = n.di.body;
-        const AbsState& pre = preStateAt(ai, pc);
+        const AbsState& pre = preStateAt(ai, n);
         const auto a = resolve(b.dst, pre);
         const auto bb = resolve(b.src, pre);
         if (!a || !bb || *a == *bb)
@@ -337,8 +312,7 @@ findRedundantCopies(const Cfg& cfg, const ReachDefsResult& rd,
 
         // The reaching definition of the destination must be a copy
         // between the same two words...
-        const std::set<Addr> ds =
-            iit->second.defsOf(static_cast<LocKey>(*a));
+        const std::set<Addr> ds = in.defsOf(static_cast<LocKey>(*a));
         std::optional<Addr> cand;
         if (ds.size() == 1 && *ds.begin() != kWildDef)
             cand = *ds.begin();
@@ -365,7 +339,7 @@ findRedundantCopies(const Cfg& cfg, const ReachDefsResult& rd,
             const Instruction& pb = pdi.body;
             const bool is_inst = !pdi.loneBranch;
             if (is_inst && pb.op == Opcode::kMov) {
-                const AbsState& ppre = preStateAt(ai, p);
+                const AbsState& ppre = preStateAt(ai, pn);
                 const auto pd = resolve(pb.dst, ppre);
                 const auto ps = resolve(pb.src, ppre);
                 if (pd && ps &&
@@ -383,7 +357,7 @@ findRedundantCopies(const Cfg& cfg, const ReachDefsResult& rd,
                 // stores might; resolved stores to other words do not.
                 if (pb.op == Opcode::kCall)
                     break;
-                const AbsState& ppre = preStateAt(ai, p);
+                const AbsState& ppre = preStateAt(ai, pn);
                 if (pb.dst.mode == AddrMode::kInd)
                     break;
                 const auto pd = resolve(pb.dst, ppre);

@@ -64,8 +64,8 @@ struct RdState
 /** Fixpoint result of one forward pass. */
 struct ReachDefsResult
 {
-    /** Pre-state per issue point, keyed like Cfg::nodes(). */
-    std::map<Addr, RdState> in;
+    /** Pre-state per issue point, indexed by CfgNode::id. */
+    std::vector<RdState> in;
 
     /** Def-use chains: definition pc -> issue points that may read it. */
     std::map<Addr, std::set<Addr>> defUses;

@@ -15,11 +15,13 @@
  *    flag was true), which lets correlated second tests prove constant
  *    even where the plain interpreter joins both arms.
  *
- * The result is strictly at least as precise as interpret(): every
- * state SCCP reports is contained in the plain interpreter's state at
- * the same point, and nodes the plain interpreter proves constant stay
- * constant here unless SCCP proves them unreachable outright. The
- * seeded agreement sweep in tests/test_dataflow.cc checks exactly that
+ * It is interpret() with AbsIntOptions::pruneEdges set: one engine, one
+ * worklist, the pruning switch the only difference. The result is
+ * strictly at least as precise as the plain run: every state SCCP
+ * reports is contained in the plain interpreter's state at the same
+ * point, and nodes the plain interpreter proves constant stay constant
+ * here unless SCCP proves them unreachable outright. The seeded
+ * agreement sweep in tests/test_dataflow.cc checks exactly that
  * relation, and torture invariant 7 enforces the refined bounds
  * dynamically at retire time.
  */
@@ -55,7 +57,8 @@ struct SccpResult
     std::map<Addr, bool> provenDirection;
 };
 
-/** Run sparse conditional constant propagation to fixpoint. */
+/** Run sparse conditional constant propagation to fixpoint
+ *  (@p opts.pruneEdges is forced on). */
 SccpResult sccp(const Cfg& cfg, const AbsIntOptions& opts = {});
 
 } // namespace crisp::analysis

@@ -1,16 +1,18 @@
 /**
  * @file
  * Value-set fixpoint over the issue-point CFG and per-site target
- * extraction. Structure mirrors sccp.cc: the same worklist, join
- * counter, widening threshold and step-cap all-top bail, over a state
- * that carries exact finite sets next to the intervals.
+ * extraction. Structure mirrors the pruned interpret() run (sccp.hh):
+ * the same worklist, join counter, widening threshold and step-cap
+ * all-top bail, over a state that carries exact finite sets next to
+ * the intervals.
  */
 
 #include "targets.hh"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
+
+#include "worklist.hh"
 
 namespace crisp::analysis
 {
@@ -547,7 +549,7 @@ findFlagSource(const Cfg& cfg, const CfgNode& pn)
         fs.between.push_back(cur);
         if (cur->preds.size() != 1)
             return std::nullopt;
-        const CfgNode& p = cfg.node(cur->preds.front());
+        const CfgNode& p = cfg.at(cur->predIds.front());
         if (p.di.ctl == Ctl::kCall && cur->di.pc == p.di.callRetPc)
             return std::nullopt; // callee body havocs the flag
         cur = &p;
@@ -561,8 +563,9 @@ struct VsContext
     const Cfg& cfg;
     const InitialImage& img;
     const MayWrite& mw;
-    std::map<Addr, VsState> in;
-    std::map<Addr, VsState> out;
+    /** Per CfgNode::id. */
+    std::vector<VsState> in;
+    std::vector<VsState> out;
 };
 
 /**
@@ -581,7 +584,8 @@ refineCompareOperand(VsContext& vc, const CfgNode& pn, bool edge_flag,
     if (cb.src.mode != AddrMode::kImm)
         return true;
     const std::int32_t c = cb.src.value;
-    const VsState& cmp_in = vc.in.at(fs->cmpNode->di.pc);
+    const VsState& cmp_in =
+        vc.in[static_cast<std::size_t>(fs->cmpNode->id)];
     if (!cmp_in.base.reachable)
         return true;
 
@@ -615,7 +619,8 @@ refineCompareOperand(VsContext& vc, const CfgNode& pn, bool edge_flag,
     // and the branch (spread code moved there is independent, but
     // prove it).
     for (const CfgNode* w : fs->between) {
-        if (bodyMayWrite(w->di, vc.in.at(w->di.pc).base, *a))
+        if (bodyMayWrite(w->di,
+                         vc.in[static_cast<std::size_t>(w->id)].base, *a))
             return true;
     }
 
@@ -714,7 +719,8 @@ analyzeTargets(const Cfg& cfg, const CallGraph& cg,
     // paths), so this may-write set over-approximates its world too.
     MayWrite mw;
     for (const auto& [pc, n] : cfg.nodes()) {
-        const AbsState& in = sccp_result.state.in.at(pc);
+        const auto id = static_cast<std::size_t>(n.id);
+        const AbsState& in = sccp_result.state.in[id];
         if (!in.reachable)
             continue;
         if (n.di.totalParcels <= 0) {
@@ -735,7 +741,7 @@ analyzeTargets(const Cfg& cfg, const CallGraph& cg,
         addBodyWrites(n.di.loneBranch, n.di.body, in, prog.memBytes,
                       mw);
         if (n.di.ctl == Ctl::kCall) {
-            const AbsState& out = sccp_result.state.out.at(pc);
+            const AbsState& out = sccp_result.state.out[id];
             mw.add(out.sp.lo, out.sp.hi + kWordBytes, prog.memBytes);
         }
     }
@@ -743,12 +749,10 @@ analyzeTargets(const Cfg& cfg, const CallGraph& cg,
     r.allMutable = mw.all();
     r.mayWrite = mw.ranges();
 
-    // Phase B: the value-set fixpoint, sccp's worklist verbatim.
-    VsContext vc{cfg, img, mw, {}, {}};
-    for (const auto& [pc, n] : cfg.nodes()) {
-        vc.in.emplace(pc, VsState{});
-        vc.out.emplace(pc, VsState{});
-    }
+    // Phase B: the value-set fixpoint, run like sccp: same worklist,
+    // same widening, edges pruned and refined.
+    VsContext vc{cfg, img, mw, std::vector<VsState>(cfg.size()),
+                 std::vector<VsState>(cfg.size())};
 
     VsState boundary;
     boundary.base.reachable = true;
@@ -780,65 +784,44 @@ analyzeTargets(const Cfg& cfg, const CallGraph& cg,
         }
     };
 
-    if (!cfg.has(prog.entry)) {
+    const int entry = cfg.indexOf(prog.entry);
+    if (entry < 0) {
         fallbackSites();
         return r;
     }
 
-    std::deque<Addr> work{prog.entry};
-    std::set<Addr> queued{prog.entry};
-    std::map<Addr, int> joins;
-
-    const std::uint64_t step_cap =
-        opts.stepCap != 0
-            ? opts.stepCap
-            : static_cast<std::uint64_t>(cfg.nodes().size()) *
-                      kAbsintStepsPerNode +
-                  256;
-
-    while (!work.empty()) {
-        if (++r.steps > step_cap) {
-            // Sound bail-out: every site keeps its ⊤ fallback set.
-            r.converged = false;
-            fallbackSites();
-            return r;
+    NodeQueue work(cfg.size());
+    work.push(entry);
+    std::vector<int> joins(cfg.size(), 0);
+    const auto step = [&](int id) {
+        const CfgNode& n = cfg.at(id);
+        VsState i = id == entry ? boundary : VsState{};
+        for (const int p : n.predIds) {
+            i = joinVs(i, vsEdgeState(vc, cfg.at(p),
+                                      vc.out[static_cast<std::size_t>(p)],
+                                      n.di.pc));
         }
 
-        const Addr pc = work.front();
-        work.pop_front();
-        queued.erase(pc);
-        const CfgNode& n = cfg.node(pc);
-
-        VsState i = pc == prog.entry ? boundary : VsState{};
-        for (const Addr p : n.preds) {
-            i = joinVs(i, vsEdgeState(vc, cfg.node(p), vc.out.at(p),
-                                      pc));
-        }
-
-        VsState& in_slot = vc.in.at(pc);
+        VsState& in_slot = vc.in[static_cast<std::size_t>(id)];
         if (!(i == in_slot)) {
-            if (++joins[pc] > kAbsintWidenJoins)
+            if (++joins[static_cast<std::size_t>(id)] > kAbsintWidenJoins)
                 i = widenVs(in_slot, i, r.widenings);
-            in_slot = i;
+            in_slot = std::move(i);
         }
 
-        VsState o;
-        if (!i.base.reachable) {
-            o = VsState{};
-        } else if (n.di.totalParcels <= 0) {
-            o = i;
-        } else {
-            o = vsTransfer(n.di, i, img, mw);
-        }
+        if (!in_slot.base.reachable)
+            return VsState{};
+        if (n.di.totalParcels <= 0)
+            return in_slot;
+        return vsTransfer(n.di, in_slot, img, mw);
+    };
 
-        VsState& out_slot = vc.out.at(pc);
-        if (o == out_slot)
-            continue;
-        out_slot = std::move(o);
-        for (const Addr s : n.succs) {
-            if (queued.insert(s).second)
-                work.push_back(s);
-        }
+    if (!runWorklist(cfg, work, vc.out, /*backward=*/false,
+                     absintStepCap(cfg, opts.stepCap), r.steps, step)) {
+        // Sound bail-out: every site keeps its ⊤ fallback set.
+        r.converged = false;
+        fallbackSites();
+        return r;
     }
 
     // Extraction: per reachable indirect/return site, read the target
@@ -847,7 +830,8 @@ analyzeTargets(const Cfg& cfg, const CallGraph& cg,
         const DecodedInst& di = n.di;
         if (di.ctl != Ctl::kIndirect && di.ctl != Ctl::kRet)
             continue;
-        if (!vc.in.at(pc).base.reachable)
+        const auto id = static_cast<std::size_t>(n.id);
+        if (!vc.in[id].base.reachable)
             continue;
 
         SiteTargets s;
@@ -857,7 +841,7 @@ analyzeTargets(const Cfg& cfg, const CallGraph& cg,
             s.kind = TargetSiteKind::kIndirectJump;
             // The branch reads its target word at retirement, after
             // the folded body ran: use the OUT state.
-            const VsState& out = vc.out.at(pc);
+            const VsState& out = vc.out[id];
             const VsMachine m(out, img, mw);
             std::optional<Addr> slot;
             if (di.bmode == BranchMode::kIndAbs) {
@@ -889,7 +873,7 @@ analyzeTargets(const Cfg& cfg, const CallGraph& cg,
             s.kind = TargetSiteKind::kReturn;
             // The pop reads the word above the deallocated frame:
             // in-SP + frame words (returns are never folded).
-            const VsState& in = vc.in.at(pc);
+            const VsState& in = vc.in[id];
             const VsMachine m(in, img, mw);
             ValueSet v = ValueSet::topSet();
             if (const auto spc = in.base.sp.constant()) {

@@ -226,6 +226,19 @@ Pdu::tick(std::uint64_t now)
             paused_ = true;
             return;
         }
+        // A redirect onto the address of the block still in flight
+        // keeps that block (it extends the new, empty queue) but also
+        // restarts the prefetcher there, so the same parcels are
+        // fetched again and discarded on arrival. When the kept block
+        // was clipped short, that re-fetch leaves the prefetcher past
+        // the queue tail, where no later block can ever extend the
+        // queue: the PDR starves on a short window while the EU waits
+        // for the very entry it would decode. Resume from the tail.
+        // Streams that never overshoot the tail keep their timing.
+        const Addr tail =
+            decodePc_ + static_cast<Addr>(queue_.size()) * kParcelBytes;
+        if (prefetchPc_ > tail)
+            prefetchPc_ = tail;
         const int room = cfg_.queueParcels - queue_.size();
         if (prefetchPc_ < text_end && room > 0) {
             const Addr remaining =

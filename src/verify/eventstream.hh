@@ -18,6 +18,9 @@
 #ifndef CRISP_VERIFY_EVENTSTREAM_HH
 #define CRISP_VERIFY_EVENTSTREAM_HH
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -126,6 +129,31 @@ class CheckingObserver : public ExecObserver
 
     const std::vector<Ev>& ref_;
 };
+
+/**
+ * Final-memory comparison shared by both runners: append to @p diff a
+ * note naming the first differing byte of @p got against @p ref (or
+ * their sizes), nothing when the images match. The images are 256 KiB,
+ * so the equal case is one memcmp; bytes are walked only on a mismatch.
+ */
+inline void
+diffMemory(std::ostringstream& diff, const std::vector<std::uint8_t>& got,
+           const std::vector<std::uint8_t>& ref)
+{
+    if (got.size() != ref.size()) {
+        diff << "memory size " << got.size() << " != " << ref.size()
+             << "; ";
+        return;
+    }
+    if (got.empty() ||
+        std::memcmp(got.data(), ref.data(), got.size()) == 0) {
+        return;
+    }
+    const auto at = std::mismatch(got.begin(), got.end(), ref.begin());
+    diff << "memory[0x" << std::hex << (at.first - got.begin()) << "] 0x"
+         << static_cast<int>(*at.first) << " != 0x"
+         << static_cast<int>(*at.second) << std::dec << "; ";
+}
 
 } // namespace crisp::verify
 

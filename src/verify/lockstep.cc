@@ -156,21 +156,7 @@ runLockstep(const Program& prog, const LockstepOptions& opt)
         diff << "apparent " << rep.sim.apparent
              << " != " << ires.instructions << "; ";
     }
-    const auto& ms = cpu.memory().bytes();
-    const auto& mi = interp.memory().bytes();
-    if (ms.size() != mi.size()) {
-        diff << "memory size " << ms.size() << " != " << mi.size()
-             << "; ";
-    } else {
-        for (std::size_t a = 0; a < ms.size(); ++a) {
-            if (ms[a] != mi[a]) {
-                diff << "memory[0x" << std::hex << a << "] 0x"
-                     << static_cast<int>(ms[a]) << " != 0x"
-                     << static_cast<int>(mi[a]) << std::dec << "; ";
-                break;
-            }
-        }
-    }
+    diffMemory(diff, cpu.memory().bytes(), interp.memory().bytes());
     const std::string d = diff.str();
     if (!d.empty()) {
         rep.kind = Divergence::kFinalStateMismatch;

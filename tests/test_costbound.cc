@@ -82,7 +82,7 @@ TEST(CostBound, ConstantSpreadBranchIsProvablyFree)
     EXPECT_EQ(c.bound.hi, 0);
     EXPECT_GE(c.minSpreadSlots, 3);
     EXPECT_TRUE(hasRule(r, "cost.constant-cc")) << r.toString();
-    EXPECT_TRUE(r.absint.converged);
+    EXPECT_TRUE(r.sccp.state.converged);
     // The not-taken fall-through path dies once the branch is pruned.
     EXPECT_TRUE(hasRule(r, "cost.dead-branch")) << r.toString();
 }
@@ -173,8 +173,8 @@ TEST(CostBound, LoopHeadWideningTerminatesWithoutFalseConstancy)
         "for (i = 0; i < 100; i = i + 1) { s = s + i; } return s; }";
     const cc::CompileResult res = cc::compile(src, {});
     const AnalysisResult r = analyzeProgram(res.program, {});
-    EXPECT_TRUE(r.absint.converged);
-    EXPECT_GT(r.absint.widenings, 0);
+    EXPECT_TRUE(r.sccp.state.converged);
+    EXPECT_GT(r.sccp.state.widenings, 0);
     for (const auto& [pc, c] : r.cost.sites) {
         if (c.conditional) {
             EXPECT_FALSE(c.constantDirection)

@@ -206,8 +206,8 @@ int main()
     EXPECT_GE(sc.provenDirection.size(), 2u);
     int sccp_only_unreachable = 0;
     for (const auto& [pc, n] : cfg.nodes()) {
-        const bool plain = ai.in.at(pc).reachable;
-        const bool sparse = sc.state.in.at(pc).reachable;
+        const bool plain = ai.inAt(pc).reachable;
+        const bool sparse = sc.state.inAt(pc).reachable;
         EXPECT_TRUE(!sparse || plain)
             << "SCCP reaches a node absint does not: " << pc;
         if (plain && !sparse)
@@ -258,19 +258,46 @@ TEST(Sccp, AtLeastAsPreciseAsAbsintAcross60Seeds)
         if (!ai.converged || !sc.state.converged)
             continue; // a bail degrades to top; containment is moot
         for (const auto& [pc, n] : cfg.nodes()) {
-            EXPECT_TRUE(stateIn(sc.state.in.at(pc), ai.in.at(pc)))
+            EXPECT_TRUE(stateIn(sc.state.inAt(pc), ai.inAt(pc)))
                 << "seed " << seed << " node " << pc
                 << ": SCCP in-state escapes the plain in-state";
-            EXPECT_TRUE(stateIn(sc.state.out.at(pc), ai.out.at(pc)))
+            EXPECT_TRUE(stateIn(sc.state.outAt(pc), ai.outAt(pc)))
                 << "seed " << seed << " node " << pc
                 << ": SCCP out-state escapes the plain out-state";
         }
         for (Addr pc : sc.executable) {
-            EXPECT_TRUE(ai.in.at(pc).reachable)
+            EXPECT_TRUE(ai.inAt(pc).reachable)
                 << "seed " << seed << " node " << pc
                 << ": executable under SCCP, unreachable under absint";
         }
     }
+}
+
+TEST(Absint, PlainRunReachesExactlyTheCfgClosureAcross200Seeds)
+{
+    // The lint layer takes "structurally live" from plain reachability
+    // over the CFG edges instead of a second, unpruned fixpoint. Pin
+    // that the two agree wherever the plain run converges.
+    int converged = 0;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        const Program p = verify::generate(seed).link();
+        for (FoldPolicy fp : {FoldPolicy::kNone, FoldPolicy::kCrisp,
+                              FoldPolicy::kAll}) {
+            Cfg cfg(p, fp);
+            const AbsIntResult ai = interpret(cfg);
+            if (!ai.converged)
+                continue;
+            ++converged;
+            const std::vector<bool> live = cfg.reachableFromEntry();
+            for (const auto& [pc, n] : cfg.nodes()) {
+                EXPECT_EQ(ai.inAt(pc).reachable,
+                          live[static_cast<std::size_t>(n.id)])
+                    << "seed " << seed << " fold "
+                    << static_cast<int>(fp) << " node " << pc;
+            }
+        }
+    }
+    EXPECT_GT(converged, 0);
 }
 
 // ------------------------------------------------------------ widening
@@ -303,7 +330,7 @@ done:
     EXPECT_EQ(ai.widenings, 0);
     const CfgNode* halt = findBody(cfg, Opcode::kHalt);
     ASSERT_NE(halt, nullptr);
-    const AbsState& at = ai.in.at(halt->di.pc);
+    const AbsState& at = ai.inAt(halt->di.pc);
     ASSERT_TRUE(at.reachable);
     EXPECT_EQ(at.accum.constant(), std::optional<std::int32_t>(4));
 }
@@ -332,7 +359,7 @@ loop:
     EXPECT_GT(ai.widenings, 0);
     const CfgNode* halt = findBody(cfg, Opcode::kHalt);
     ASSERT_NE(halt, nullptr);
-    const AbsState& at = ai.in.at(halt->di.pc);
+    const AbsState& at = ai.inAt(halt->di.pc);
     ASSERT_TRUE(at.reachable);
     EXPECT_TRUE(at.accum.contains(100));
     EXPECT_FALSE(at.accum.constant().has_value());
@@ -340,7 +367,7 @@ loop:
     // SCCP widens the same way and stays sound too.
     const SccpResult sc = sccp(cfg);
     EXPECT_TRUE(sc.state.converged);
-    EXPECT_TRUE(sc.state.in.at(halt->di.pc).accum.contains(100));
+    EXPECT_TRUE(sc.state.inAt(halt->di.pc).accum.contains(100));
 }
 
 TEST(Absint, WidenIntervalJumpsGrowingBoundsOnly)
@@ -379,13 +406,13 @@ loop:
     ASSERT_NE(halt, nullptr);
     // The bail degrades to all-top: reachable everywhere, nothing
     // proven — sound for every consumer.
-    const AbsState& at = ai.in.at(halt->di.pc);
+    const AbsState& at = ai.inAt(halt->di.pc);
     EXPECT_TRUE(at.reachable);
     EXPECT_TRUE(at.accum.isTop());
 
     const SccpResult sc = sccp(cfg, tiny);
     EXPECT_FALSE(sc.state.converged);
-    EXPECT_TRUE(sc.state.in.at(halt->di.pc).reachable);
+    EXPECT_TRUE(sc.state.inAt(halt->di.pc).reachable);
 }
 
 // ------------------------------------------------- translation validator
@@ -617,27 +644,6 @@ main:
 )");
     const AnalysisResult r = analyzeProgram(p, {});
     EXPECT_TRUE(hasRule(r, "dataflow.redundant-copy"));
-}
-
-TEST(Lint, DataflowOptionOffSuppressesRules)
-{
-    const Program p = assemble(R"(
-    .entry main
-    .local d 0
-main:
-    enter 1
-    mov d, 7
-    mov Accum, 1
-    halt
-)");
-    AnalysisOptions on;
-    const AnalysisResult with = analyzeProgram(p, on);
-    EXPECT_TRUE(hasRule(with, "dataflow.dead-store"));
-    AnalysisOptions off;
-    off.dataflow = false;
-    const AnalysisResult without = analyzeProgram(p, off);
-    for (const Diagnostic& d : without.diags)
-        EXPECT_NE(d.rule.rfind("dataflow.", 0), 0u) << d.rule;
 }
 
 TEST(Lint, JsonCarriesDataflowCounters)

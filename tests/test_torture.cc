@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
+#include <vector>
 
 #include "asm/assembler.hh"
 #include "sim/cpu.hh"
+#include "verify/eventstream.hh"
 #include "verify/faults.hh"
 #include "verify/generator.hh"
 #include "verify/lockstep.hh"
@@ -112,6 +115,50 @@ TEST_P(TortureSeeds, PipelineMatchesInterpreterAcrossFoldPolicies)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TortureSeeds, ::testing::Range(1, 201));
+
+TEST(TortureRegression, PrefetchRedirectOntoInFlightBlockHalts)
+{
+    // Generator seeds on which the cycle model never halted under fold
+    // crisp/all: a redirect onto the address of a clipped in-flight
+    // prefetch block kept the block but re-fetched from the redirect
+    // target, leaving the prefetcher past the queue tail. No later
+    // block extended the queue, and the EU waited forever on a DIC miss
+    // for the entry the starved decode stage would have produced.
+    for (const std::uint64_t seed :
+         {9051044u, 9100065u, 10060622u, 10081918u, 1300433u}) {
+        const Program prog = verify::generate(seed).link();
+        for (FoldPolicy fp :
+             {FoldPolicy::kNone, FoldPolicy::kCrisp, FoldPolicy::kAll}) {
+            LockstepOptions opt;
+            opt.cfg.foldPolicy = fp;
+            const LockstepReport rep = verify::runLockstep(prog, opt);
+            EXPECT_TRUE(rep.ok())
+                << "seed " << seed << " fold " << static_cast<int>(fp)
+                << ":\n"
+                << rep.toString();
+        }
+    }
+}
+
+TEST(TortureRegression, MemoryDiffNamesFirstDifferingByte)
+{
+    std::vector<std::uint8_t> ref(1024, 0);
+    std::vector<std::uint8_t> got = ref;
+    std::ostringstream same;
+    verify::diffMemory(same, got, ref);
+    EXPECT_EQ(same.str(), "");
+
+    got[0x2a] = 0x7;
+    got[0x300] = 0x9;
+    std::ostringstream one;
+    verify::diffMemory(one, got, ref);
+    EXPECT_EQ(one.str(), "memory[0x2a] 0x7 != 0x0; ");
+
+    got.pop_back();
+    std::ostringstream size;
+    verify::diffMemory(size, got, ref);
+    EXPECT_EQ(size.str(), "memory size 1023 != 1024; ");
+}
 
 // ------------------------------------------------------ fault injection
 
