@@ -901,33 +901,4 @@ analyzeTargets(const Cfg& cfg, const CallGraph& cg,
     return r;
 }
 
-IndirectHints
-hintsFromTargets(const TargetsResult& targets)
-{
-    // Aggregate per branch address: several issue points may cover one
-    // branch (mixed fold classes), and a hint must describe them all.
-    struct Agg
-    {
-        std::set<Addr> all;
-        bool ok = true;
-    };
-    std::map<Addr, Agg> by_branch;
-    for (const auto& [pc, s] : targets.sites) {
-        if (s.kind != TargetSiteKind::kIndirectJump)
-            continue;
-        Agg& a = by_branch[s.branchPc];
-        a.ok = a.ok && s.enforceable && s.resolved &&
-               s.invalidTargets == 0 && !s.targets.empty();
-        a.all.insert(s.targets.begin(), s.targets.end());
-    }
-    IndirectHints hints;
-    for (const auto& [bpc, a] : by_branch) {
-        if (!a.ok)
-            continue;
-        hints.targets.emplace(
-            bpc, std::vector<Addr>(a.all.begin(), a.all.end()));
-    }
-    return hints;
-}
-
 } // namespace crisp::analysis

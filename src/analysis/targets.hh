@@ -58,7 +58,6 @@
 #include "callgraph.hh"
 #include "cfg.hh"
 #include "sccp.hh"
-#include "sim/translate.hh"
 
 namespace crisp::analysis
 {
@@ -181,17 +180,6 @@ struct TargetsResult
 TargetsResult analyzeTargets(const Cfg& cfg, const CallGraph& cg,
                              const SccpResult& sccp_result,
                              const AbsIntOptions& opts = {});
-
-/**
- * Lower proven target sets into fast-engine hints (sim/translate.hh):
- * per branch address, the union of the target sets over every issue
- * point covering that branch — emitted only when all of them are
- * enforceable with no out-of-table values, so a singleton really is
- * the one possible target. (The engine guards every use at runtime
- * anyway; this filter just keeps the hints honest.) Return sites are
- * excluded — the engine's return inline caches already handle them.
- */
-IndirectHints hintsFromTargets(const TargetsResult& targets);
 
 } // namespace crisp::analysis
 

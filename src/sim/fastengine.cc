@@ -17,9 +17,9 @@
  * terminating control op to its own handler. Every handler exit goes
  * through CRISP_NEXT(), which jumps straight back into the walker when
  * the successor starts a trace (the "chain pointer": a hot loop
- * back-edge never re-enters the dispatcher). Indirect exits resolve
- * their target through a per-entry monomorphic inline cache before
- * falling back to the full address-to-index lookup.
+ * back-edge never re-enters the dispatcher). Indirect exits are never
+ * trace members: their handlers read the target word and resolve it
+ * with Translation::indexOf.
  *
  * Equivalence discipline: every architectural effect below happens in
  * the interpreter's order — count the instruction, then execute it
@@ -161,8 +161,7 @@ fetchError(Addr a)
 
 FastEngine::FastEngine(const Program& prog, const SimConfig& cfg,
                        PredecodeCache* shared_predecode,
-                       const Translation* shared_translation,
-                       const IndirectHints* hints)
+                       const Translation* shared_translation)
     : cfg_(cfg)
 {
     if (shared_translation != nullptr) {
@@ -182,38 +181,13 @@ FastEngine::FastEngine(const Program& prog, const SimConfig& cfg,
         prog_ = &*ownedProg_;
         ownedTrans_ = std::make_unique<Translation>(
             *prog_, cfg.foldPolicy, shared_predecode,
-            cfg.enableChaining, hints);
+            cfg.enableChaining);
         trans_ = ownedTrans_.get();
     }
     mem_.load(*prog_);
-    ic_.assign(trans_->size(), IC{});
-    seedInlineCaches();
     pc_ = prog_->entry;
     sp_ = (prog_->memBytes - kWordBytes) & ~(kWordBytes - 1);
     stats_.engine = EngineKind::kFast;
-}
-
-void
-FastEngine::seedInlineCaches()
-{
-    // Pre-fill the monomorphic caches with the translation's likely
-    // targets: a hint-conforming first execution hits immediately.
-    // Sound for the same reason refills are — indexOf is a pure
-    // function of the (epoch-stable) translation.
-    for (const auto& [idx, target] : trans_->icSeeds()) {
-        IC& c = ic_[idx];
-        c.valid = true;
-        c.target = target;
-        c.idx = trans_->indexOf(target);
-    }
-}
-
-void
-FastEngine::flushInlineCaches()
-{
-    std::fill(ic_.begin(), ic_.end(), IC{});
-    seedInlineCaches();
-    ++icFlushes_;
 }
 
 void
@@ -228,11 +202,10 @@ FastEngine::reset()
         // image), so a rebuild provably reproduces the same table — a
         // shared one can stay pinned. Owned ones are rebuilt to keep
         // the defensive contract cheap to audit; either way the epoch
-        // bump and the inline-cache flush are observable.
+        // bump is observable.
         if (ownedTrans_)
             ownedTrans_->rebuild();
         ++transEpoch_;
-        flushInlineCaches();
     }
     pc_ = prog_->entry;
     sp_ = (prog_->memBytes - kWordBytes) & ~(kWordBytes - 1);
@@ -293,15 +266,12 @@ FastEngine::runLoop(ExecObserver* observer)
 {
     (void)observer;
     const TOp* const ops = trans_->ops();
-    IC* const ic = ic_.data();
     MemoryImage& mem = mem_;
     Addr sp = sp_;
     Word accum = accum_;
     bool flag = flag_;
     std::uint64_t apparent = 0;
     std::uint64_t issued = 0;
-    std::uint64_t ic_hits = 0;
-    std::uint64_t ic_misses = 0;
     std::uint64_t* const counts = stats_.opcodeCounts.data();
 
     // Fuel: instructions until the next cancel/budget poll. Polls
@@ -322,23 +292,6 @@ FastEngine::runLoop(ExecObserver* observer)
         fuel = static_cast<std::int64_t>(std::min<std::uint64_t>(
             cfg_.maxCycles - done, kCancelCheckInterval));
         return 0;
-    };
-
-    // Monomorphic inline cache consult for an indirect exit at *t:
-    // last target and its pre-resolved index, refilled on miss. Sound
-    // because indexOf is a pure function of the (epoch-stable)
-    // translation — the caches are flushed whenever it changes.
-    const auto resolve = [&](const TOp* t, Addr target) {
-        IC& c = ic[t - ops];
-        if (c.valid && c.target == target) {
-            ++ic_hits;
-            return c.idx;
-        }
-        ++ic_misses;
-        c.valid = true;
-        c.target = target;
-        c.idx = trans_->indexOf(target);
-        return c.idx;
     };
 
     [[maybe_unused]] const auto emitBranch = [&](const TOp* t,
@@ -403,53 +356,6 @@ FastEngine::runLoop(ExecObserver* observer)
                         observer->onInstruction(op->pc, op->bodyOp);
                     execBody(*op, mem, sp, accum, flag);
                     ip = op->seqIdx;
-                } else if (op->dynTarget) {
-                    // Predicted indirect exit (kJmp or kCall with a
-                    // singleton hint / self-predicted table word):
-                    // full handler bookkeeping inline, in the
-                    // interpreter's order, then a runtime guard on the
-                    // predicted target. A misprediction simply ends
-                    // the trace early through the generic resolver —
-                    // the prediction is never trusted architecturally.
-                    ++issued;
-                    if (op->folded) {
-                        ++apparent;
-                        ++counts[static_cast<std::size_t>(op->bodyOp)];
-                        if constexpr (Observed)
-                            observer->onInstruction(op->pc, op->bodyOp);
-                        execBody(*op, mem, sp, accum, flag);
-                    }
-                    ++apparent;
-                    ++counts[static_cast<std::size_t>(op->branchOp)];
-                    if constexpr (Observed)
-                        observer->onInstruction(op->branchPc,
-                                                op->branchOp);
-                    const Addr itarget =
-                        mem.read32(op->bmode == BranchMode::kIndSp
-                                       ? sp + op->dynSpec
-                                       : op->dynSpec);
-                    if (op->kind == TKind::kCall) {
-                        // Push after the target read (a faulting read
-                        // must leave SP untouched).
-                        sp -= kWordBytes;
-                        mem.write32(sp, op->callRetPc);
-                    }
-                    ++stats_.branches;
-                    if (op->folded)
-                        ++stats_.foldedBranches;
-                    if constexpr (Observed)
-                        emitBranch(op, true, itarget);
-                    if (itarget == op->predTarget) [[likely]] {
-                        ip = op->predIdx;
-                    } else {
-                        ip = resolve(op, itarget);
-                        if (ip == kNoIdx) [[unlikely]] {
-                            npc = itarget;
-                            goto bad_fetch;
-                        }
-                        op = &ops[ip];
-                        CRISP_NEXT();
-                    }
                 } else {
                     // Static kJmp (possibly folded) or kCall, known
                     // taken: same bookkeeping order as the standalone
@@ -517,7 +423,7 @@ FastEngine::runLoop(ExecObserver* observer)
                 target = mem.read32(op->bmode == BranchMode::kIndSp
                                         ? sp + op->dynSpec
                                         : op->dynSpec);
-                ip = resolve(op, target);
+                ip = trans_->indexOf(target);
             } else {
                 target = op->takenPc;
                 ip = op->takenIdx;
@@ -574,7 +480,7 @@ FastEngine::runLoop(ExecObserver* observer)
             if constexpr (Observed)
                 emitBranch(op, taken, target);
             if (taken) {
-                ip = op->dynTarget ? resolve(op, target)
+                ip = op->dynTarget ? trans_->indexOf(target)
                                    : op->takenIdx;
                 if (ip == kNoIdx) [[unlikely]] {
                     npc = target;
@@ -620,7 +526,8 @@ FastEngine::runLoop(ExecObserver* observer)
             ++stats_.branches;
             if constexpr (Observed)
                 emitBranch(op, true, target);
-            ip = op->dynTarget ? resolve(op, target) : op->takenIdx;
+            ip = op->dynTarget ? trans_->indexOf(target)
+                               : op->takenIdx;
             if (ip == kNoIdx) [[unlikely]] {
                 npc = target;
                 goto bad_fetch;
@@ -644,7 +551,7 @@ FastEngine::runLoop(ExecObserver* observer)
             sp += op->frameBytes;
             const Addr target = mem.read32(sp);
             sp += kWordBytes;
-            ip = resolve(op, target);
+            ip = trans_->indexOf(target);
             if (ip == kNoIdx) [[unlikely]] {
                 npc = target;
                 goto bad_fetch;
@@ -711,8 +618,6 @@ FastEngine::runLoop(ExecObserver* observer)
     flag_ = flag;
     stats_.apparent += apparent;
     stats_.issued += issued;
-    icHits_ += ic_hits;
-    icMisses_ += ic_misses;
 }
 
 #undef CRISP_NEXT

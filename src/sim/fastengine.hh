@@ -16,9 +16,9 @@
  * terminating branch transfers through the translation's pre-resolved
  * Next-PC / Alternate-Next-PC indices, so hot loops never leave
  * translated code. Indirect exits (returns, indirect jumps/calls)
- * carry a monomorphic inline cache: the last target address and its
- * table index, so a stable callee re-enters its trace without an
- * address-to-index lookup.
+ * read their target word and resolve it with Translation::indexOf (an
+ * alignment test, a bounds test, a subtract and a shift); every
+ * indirect exit ends its trace.
  *
  * Contracts shared with the other engines:
  *  - architectural-state equivalence with the reference interpreter,
@@ -33,8 +33,7 @@
  *    instructions, checked at trace boundaries;
  *  - MemoryImage dirty-line tracking powers reset(): if the program
  *    image's text window was dirtied, the revert also invalidates the
- *    translation (and every inline cache) so it can never describe
- *    stale bytes.
+ *    translation so it can never describe stale bytes.
  *
  * Warm replay: a Translation built once (e.g. crispd's per
  * program-hash × policy registry entry) can be shared read-only across
@@ -55,7 +54,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "config.hh"
 #include "interp/interpreter.hh"
@@ -83,17 +81,10 @@ class FastEngine
      * then borrows the translation's Program — @p prog is only used to
      * seed the memory image — and construction does no decode or
      * translate work at all. The translation must outlive the engine.
-     *
-     * @p hints optionally carries proven indirect-target sets from the
-     * value-set analysis (see IndirectHints): singletons let traces
-     * chain through indirect exits under a runtime guard, bounded sets
-     * pre-seed the inline caches. Ignored when a shared translation is
-     * passed (the shared table already embeds its own hints).
      */
     explicit FastEngine(const Program& prog, const SimConfig& cfg = {},
                         PredecodeCache* shared_predecode = nullptr,
-                        const Translation* shared_translation = nullptr,
-                        const IndirectHints* hints = nullptr);
+                        const Translation* shared_translation = nullptr);
 
     FastEngine(const FastEngine&) = delete;
     FastEngine& operator=(const FastEngine&) = delete;
@@ -111,9 +102,9 @@ class FastEngine
      * Return to the power-on state over the same program and config:
      * dirty-line memory revert, statistics zeroed, and — if the text
      * window of the image was written since the last reset — a
-     * translation invalidation (rebuild of an owned translation, inline
-     * caches flushed either way), so a reverted image can never execute
-     * through stale translations. Nothing is reallocated on the clean
+     * translation invalidation (rebuild of an owned translation, epoch
+     * bump either way), so a reverted image can never execute through
+     * stale translations. Nothing is reallocated on the clean
      * path; replay loops reuse one engine. The cancel flag is
      * retained, like CrispCpu.
      */
@@ -147,30 +138,9 @@ class FastEngine
      *  self-modifying-image tests); starts at 1. */
     std::uint64_t translationEpoch() const { return transEpoch_; }
 
-    // Inline-cache telemetry (host-side, non-architectural) -----------
-    /** Indirect-exit resolutions served by the monomorphic cache. */
-    std::uint64_t icHits() const { return icHits_; }
-    /** Indirect-exit resolutions that fell back to the full
-     *  address-to-index lookup (and refilled the cache). */
-    std::uint64_t icMisses() const { return icMisses_; }
-    /** Whole-cache flushes (translation invalidations). */
-    std::uint64_t icFlushes() const { return icFlushes_; }
-
   private:
     template <bool Observed>
     void runLoop(ExecObserver* observer);
-
-    void flushInlineCaches();
-    void seedInlineCaches();
-
-    /** Monomorphic inline cache: last resolved target of an indirect
-     *  exit and its table index (kNoIdx = leaves text, also cached). */
-    struct IC
-    {
-        Addr target = 0;
-        std::uint32_t idx = kNoIdx;
-        bool valid = false;
-    };
 
     /** Owned copy when the engine stands alone; borrowed from the
      *  shared translation otherwise (no copy on the warm path). */
@@ -180,7 +150,6 @@ class FastEngine
     MemoryImage mem_;
     std::unique_ptr<Translation> ownedTrans_;
     const Translation* trans_ = nullptr;
-    std::vector<IC> ic_;
     SimStats stats_;
 
     Addr pc_ = 0;
@@ -190,9 +159,6 @@ class FastEngine
     bool halted_ = false;
 
     std::uint64_t transEpoch_ = 1;
-    std::uint64_t icHits_ = 0;
-    std::uint64_t icMisses_ = 0;
-    std::uint64_t icFlushes_ = 0;
 
     /** Same poll cadence as CrispCpu's cycle loop. */
     static constexpr int kCancelCheckInterval = 4096;

@@ -71,13 +71,10 @@ fillBody(TOp& t, const Instruction& inst)
 
 Translation::Translation(const Program& prog, FoldPolicy policy,
                          PredecodeCache* predecode,
-                         bool enable_chaining,
-                         const IndirectHints* hints)
+                         bool enable_chaining)
     : prog_(prog), policy_(policy), chaining_(enable_chaining),
       textBase_(prog.textBase), textEnd_(prog.textEnd())
 {
-    if (hints != nullptr)
-        hints_ = *hints;
     if (predecode) {
         predecode_ = predecode;
     } else {
@@ -98,12 +95,10 @@ Translation::build()
 {
     ops_.assign(prog_.text.size(), TOp{});
     trapMsgs_.clear();
-    icSeeds_.clear();
     for (std::size_t i = 0; i < ops_.size(); ++i) {
         translateAt(ops_[i],
                     textBase_ + static_cast<Addr>(i) * kParcelBytes);
     }
-    predictIndirects();
     linkSuccessors();
     computeTraces();
     ++epoch_;
@@ -257,58 +252,6 @@ Translation::lowerRaw(TOp& t, Addr pc, const Instruction& inst)
 }
 
 void
-Translation::predictIndirects()
-{
-    for (std::size_t i = 0; i < ops_.size(); ++i) {
-        TOp& t = ops_[i];
-        if (!t.dynTarget)
-            continue;
-        // Likely target: a hinted proven set's first element wins;
-        // otherwise a constant-address specifier (kIndAbs) predicts
-        // the load-image word it points at. Either way the value is
-        // only ever a prediction — the engine compares it against the
-        // word it actually reads.
-        Addr likely = 0;
-        bool have = false;
-        bool extend = false;
-        const auto h = hints_.targets.find(t.branchPc);
-        if (h != hints_.targets.end() && !h->second.empty()) {
-            likely = h->second.front();
-            have = true;
-            // Only a proven singleton earns trace extension; larger
-            // bounded sets would mispredict too often to walk through.
-            extend = h->second.size() == 1;
-        } else if (t.bmode == BranchMode::kIndAbs) {
-            const Addr a = t.dynSpec;
-            if (a >= prog_.dataBase &&
-                a + kWordBytes <=
-                    prog_.dataBase +
-                        static_cast<Addr>(prog_.data.size())) {
-                const std::size_t off = a - prog_.dataBase;
-                likely =
-                    static_cast<Addr>(prog_.data[off]) |
-                    (static_cast<Addr>(prog_.data[off + 1]) << 8) |
-                    (static_cast<Addr>(prog_.data[off + 2]) << 16) |
-                    (static_cast<Addr>(prog_.data[off + 3]) << 24);
-                have = true;
-                extend = true;
-            }
-        }
-        if (!have)
-            continue;
-        const std::uint32_t li = indexOf(likely);
-        if (li == kNoIdx)
-            continue; // predicting a fetch fault helps nothing
-        icSeeds_.emplace_back(static_cast<std::uint32_t>(i), likely);
-        if (extend &&
-            (t.kind == TKind::kJmp || t.kind == TKind::kCall)) {
-            t.predTarget = likely;
-            t.predIdx = li;
-        }
-    }
-}
-
-void
 Translation::linkSuccessors()
 {
     for (TOp& t : ops_) {
@@ -347,11 +290,7 @@ Translation::computeTraces()
             return true;
           case TKind::kJmp:
           case TKind::kCall:
-            // An indirect exit is walkable when it carries a
-            // predicted target: the walker executes it inline under a
-            // runtime guard and leaves the trace on a misprediction.
-            return chaining_ &&
-                   (!t.dynTarget || t.predIdx != kNoIdx);
+            return chaining_ && !t.dynTarget;
           default:
             return false;
         }
@@ -374,10 +313,9 @@ Translation::computeTraces()
             instr += cur->folded ? 2u : 1u;
             if (n >= kTraceCap)
                 break;
-            const std::uint32_t s =
-                cur->kind == TKind::kChain ? cur->seqIdx
-                : cur->dynTarget           ? cur->predIdx
-                                           : cur->takenIdx;
+            const std::uint32_t s = cur->kind == TKind::kChain
+                                        ? cur->seqIdx
+                                        : cur->takenIdx;
             if (s == kNoIdx || !walkable(ops_[s]))
                 break;
             cur = &ops_[s];

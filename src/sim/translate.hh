@@ -22,6 +22,10 @@
  *    ops is measured at translation time so the fast engine can retire
  *    the whole straight-line region in a single handler activation.
  *
+ * Indirect exits (returns, indirect jumps and calls) have no static
+ * successor: the engine reads the target word at run time and
+ * resolves it with indexOf(), and such an exit always ends a trace.
+ *
  * Translation is semantics-preserving lowering only: every fault the
  * interpreter would raise (truncated instruction, unaligned or
  * out-of-text fetch, indirect-target read) is represented and raised at
@@ -32,7 +36,6 @@
 #define CRISP_SIM_TRANSLATE_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,22 +50,6 @@ namespace crisp
 /** Successor index meaning "leaves translated code" (fetch fault if
  *  control actually transfers there). */
 inline constexpr std::uint32_t kNoIdx = 0xffffffffu;
-
-/**
- * Optional per-branch indirect-target hints, keyed by the *branch
- * instruction's* address (TOp::branchPc). Produced by the
- * interprocedural value-set analysis (analysis/targets.hh) from proven
- * finite target sets; the translator treats them as predictions only —
- * every use is guarded by a runtime compare against the actually-read
- * target word, so a stale or wrong hint costs speed, never
- * correctness. A single-element vector additionally lets the trace
- * walker chain straight through the indirect exit; the first element
- * of a larger set seeds the monomorphic inline cache.
- */
-struct IndirectHints
-{
-    std::map<Addr, std::vector<Addr>> targets;
-};
 
 /** Handler selector: what the dispatch loop does with this op. */
 enum class TKind : std::uint8_t {
@@ -160,19 +147,6 @@ struct TOp
     std::uint32_t seqIdx = kNoIdx;
     std::uint32_t takenIdx = kNoIdx;
 
-    /**
-     * Indirect exits only: the predicted target and its table index
-     * (kNoIdx = no prediction). From an analysis hint (singleton
-     * proven set), or — for kIndAbs — the load-image word at the
-     * specifier address. Predictions let the trace walker chain
-     * through the exit; the walker compares the predicted address
-     * against the target word it actually reads and falls back to the
-     * generic resolver on mismatch, so predictions are never trusted
-     * architecturally.
-     */
-    Addr predTarget = 0;
-    std::uint32_t predIdx = kNoIdx;
-
     /** kChain: number of sequential ops in the superblock starting
      *  here (>= 1), ending just before a control/trap op. */
     std::uint32_t chain = 0;
@@ -220,13 +194,10 @@ class Translation
      * @p enable_chaining controls whether traces extend across
      * unconditionally-taken static branches (SimConfig::enableChaining;
      * off restores one-basic-block traces).
-     * @p hints optionally carries proven indirect-target sets
-     * (copied); see IndirectHints for the guarantees.
      */
     Translation(const Program& prog, FoldPolicy policy,
                 PredecodeCache* predecode = nullptr,
-                bool enable_chaining = true,
-                const IndirectHints* hints = nullptr);
+                bool enable_chaining = true);
 
     Translation(const Translation&) = delete;
     Translation& operator=(const Translation&) = delete;
@@ -270,25 +241,12 @@ class Translation
     /** Whether traces were allowed to cross static taken branches. */
     bool chaining() const { return chaining_; }
 
-    /**
-     * Inline-cache seeds: (table index, likely target) for every
-     * indirect exit with a prediction or a hinted bounded set. An
-     * engine may pre-fill its monomorphic caches from these so a
-     * hint-conforming first execution hits instead of missing.
-     */
-    const std::vector<std::pair<std::uint32_t, Addr>>&
-    icSeeds() const
-    {
-        return icSeeds_;
-    }
-
   private:
     void build();
     void translateAt(TOp& t, Addr pc);
     void lowerDecoded(TOp& t, const DecodedInst& di);
     void lowerRaw(TOp& t, Addr pc, const Instruction& inst);
     void makeTrap(TOp& t, Addr pc, const std::string& msg);
-    void predictIndirects();
     void linkSuccessors();
     void computeTraces();
 
@@ -299,10 +257,8 @@ class Translation
     const Addr textEnd_;
     std::unique_ptr<PredecodeCache> ownedPredecode_;
     PredecodeCache* predecode_;
-    IndirectHints hints_;
     std::vector<TOp> ops_;
     std::vector<std::string> trapMsgs_;
-    std::vector<std::pair<std::uint32_t, Addr>> icSeeds_;
     std::uint64_t epoch_ = 0;
 };
 

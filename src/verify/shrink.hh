@@ -32,6 +32,13 @@ struct ShrinkResult
 };
 
 /**
+ * Test budget for shrinking a TIMEOUT verdict. Each test of a wedged
+ * candidate runs until the watchdog fires, so shrinking one such
+ * verdict costs at most this many timeout periods.
+ */
+inline constexpr int kTimeoutShrinkTests = 8;
+
+/**
  * Minimize @p gp under @p stillFails.
  * @pre stillFails(gp) is true (callers check before invoking).
  */

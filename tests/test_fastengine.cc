@@ -339,32 +339,6 @@ jumpChain(int blocks, int ops_per_block)
     return p;
 }
 
-// A loop that calls a leaf `limit` times: the leaf's return is the
-// only dynamic-target exit, so the inline-cache counters are exact.
-Program
-callLoop(std::int32_t limit)
-{
-    Program p;
-    const Addr jmp_at = p.textEnd();
-    p.append(Instruction::branchRel(Opcode::kJmp, 4)); // over the leaf
-    const Addr leaf = p.textEnd();
-    p.append(Instruction::ret(0));
-    EXPECT_EQ(p.textEnd(), jmp_at + 4);
-    const Operand counter = Operand::abs(kDataBase);
-    p.append(Instruction::mov(counter, Operand::imm(0)));
-    const Addr loop = p.textEnd();
-    p.append(Instruction::branchFar(Opcode::kCall, BranchMode::kAbs,
-                                    leaf));
-    p.append(Instruction::alu(Opcode::kAdd, counter, Operand::imm(1)));
-    p.append(Instruction::cmp(Opcode::kCmpLt, counter,
-                              Operand::imm(limit)));
-    const Addr br = p.textEnd();
-    p.append(Instruction::branchRel(
-        Opcode::kIfTJmp, static_cast<std::int32_t>(loop - br), true));
-    p.append(Instruction::halt());
-    return p;
-}
-
 TEST(Translation, TracesChainAcrossFoldedAlwaysTakenJump)
 {
     const Program p = foldedJumpRun();
@@ -447,13 +421,12 @@ TEST(FastEngine, BudgetOvershootStaysWithinPollPlusTraceCap)
     EXPECT_LT(eng.stats().apparent, 5'000u + 4'096u + 2 * kTraceCap);
 }
 
-// ---------------------------- directed: predicted indirect chaining
+// ------------------------------------------ directed: indirect exits
 
-TEST(FastEngine, SelfPredictedIndirectChainsThroughTable)
+TEST(FastEngine, IndAbsDispatchEndsTrace)
 {
-    // kIndAbs with a clean table: the translator predicts the
-    // load-image word, the trace walker chains straight through the
-    // dispatch, and the inline cache is never even consulted.
+    // An indirect exit has no static successor: it never joins a
+    // trace, and its handler resolves the target word it reads.
     const Program prog = mutableDispatch(false);
     Translation trans(prog, FoldPolicy::kCrisp);
     const std::uint32_t bi = trans.indexOf(prog.entry);
@@ -461,16 +434,12 @@ TEST(FastEngine, SelfPredictedIndirectChainsThroughTable)
     const TOp& jmp = trans.ops()[bi];
     ASSERT_EQ(jmp.kind, TKind::kJmp);
     ASSERT_TRUE(jmp.dynTarget);
-    EXPECT_NE(jmp.predIdx, kNoIdx);
-    // The trace covers the dispatch plus the landing arm.
-    EXPECT_GE(jmp.trace, 2u);
-    EXPECT_FALSE(trans.icSeeds().empty());
+    EXPECT_EQ(jmp.trace, 0u);
 
     FastEngine eng(prog);
     eng.run();
     ASSERT_TRUE(eng.halted());
     EXPECT_EQ(eng.accum(), 11);
-    EXPECT_EQ(eng.icMisses(), 0u);
 
     Interpreter interp(prog);
     interp.run();
@@ -481,9 +450,8 @@ TEST(FastEngine, SelfPredictedIndirectChainsThroughTable)
 TEST(FastEngine, MispredictedIndirectTakesGuardPath)
 {
     // The program overwrites its own jump table before dispatching:
-    // the self-prediction (from the load image) is wrong, and the
-    // runtime guard must route control to the re-targeted arm with
-    // fully interpreter-equivalent state.
+    // the target must come from the word read at run time, never from
+    // the load image, with fully interpreter-equivalent state.
     const Program prog = mutableDispatch(true);
     FastEngine eng(prog);
     eng.run();
@@ -496,11 +464,10 @@ TEST(FastEngine, MispredictedIndirectTakesGuardPath)
     EXPECT_EQ(eng.stats().apparent, ir.instructions);
 }
 
-TEST(FastEngine, HintedSingletonChainsThroughIndSpDispatch)
+TEST(FastEngine, IndSpDispatchEndsTrace)
 {
-    // kIndSp cannot self-predict (the slot address depends on SP), so
-    // a proven-singleton hint is what unlocks chaining. A *wrong*
-    // hint must cost nothing but the misprediction.
+    // The trace headed by the mov stops before the kIndSp jump, which
+    // is not walkable itself, with chaining on.
     Program p;
     const Addr table = kDataBase;
     p.append(Instruction::mov(Operand::stack(0), Operand::abs(table)));
@@ -511,70 +478,33 @@ TEST(FastEngine, HintedSingletonChainsThroughIndSpDispatch)
     p.append(Instruction::alu(Opcode::kAdd, Operand::accum(),
                               Operand::imm(11)));
     p.append(Instruction::halt());
-    const Addr arm_b = p.textEnd();
-    p.append(Instruction::alu(Opcode::kAdd, Operand::accum(),
-                              Operand::imm(77)));
-    p.append(Instruction::halt());
     pokeDataWord(p, table, static_cast<Word>(arm_a));
 
-    // Unhinted: the indirect exit terminates the trace.
-    Translation bare(p, FoldPolicy::kCrisp);
-    const std::uint32_t bi = bare.indexOf(branch_pc);
+    Translation trans(p, FoldPolicy::kCrisp);
+    ASSERT_TRUE(trans.chaining());
+    const std::uint32_t bi = trans.indexOf(branch_pc);
     ASSERT_NE(bi, kNoIdx);
-    EXPECT_EQ(bare.ops()[bi].predIdx, kNoIdx);
+    EXPECT_TRUE(trans.ops()[bi].dynTarget);
+    EXPECT_EQ(trans.ops()[bi].trace, 0u);
+    EXPECT_EQ(trans.ops()[trans.entryIndex()].trace, 1u);
 
-    // Correct singleton hint: prediction installed, trace extends.
-    IndirectHints hints;
-    hints.targets[branch_pc] = {arm_a};
-    Translation hinted(p, FoldPolicy::kCrisp, nullptr, true, &hints);
-    EXPECT_EQ(hinted.ops()[bi].predTarget, arm_a);
-    EXPECT_GE(hinted.ops()[bi].trace, 2u);
-
-    FastEngine eng(p, SimConfig{}, nullptr, nullptr, &hints);
+    FastEngine eng(p);
     eng.run();
     ASSERT_TRUE(eng.halted());
     EXPECT_EQ(eng.accum(), 11);
-    EXPECT_EQ(eng.icMisses(), 0u);
-
-    // Wrong hint: guarded, so the result is unchanged.
-    IndirectHints wrong;
-    wrong.targets[branch_pc] = {arm_b};
-    FastEngine eng2(p, SimConfig{}, nullptr, nullptr, &wrong);
-    eng2.run();
-    ASSERT_TRUE(eng2.halted());
-    EXPECT_EQ(eng2.accum(), 11);
 
     Interpreter interp(p);
     interp.run();
     EXPECT_EQ(eng.accum(), interp.accum());
 }
 
-// ------------------------------------------ directed: inline caches
+// ------------------------------------------- directed: text-dirty reset
 
-TEST(FastEngine, ReturnInlineCacheHitsOnLoopBackEdge)
+TEST(FastEngine, TextDirtyResetReplaysLikeFirstRun)
 {
-    const std::int32_t limit = 500;
-    const Program prog = callLoop(limit);
-    FastEngine eng(prog);
-    eng.run();
-    ASSERT_TRUE(eng.halted());
-    // One miss installs the cache; every later return hits it. The
-    // counters are non-architectural, so they must not perturb stats.
-    EXPECT_EQ(eng.icMisses(), 1u);
-    EXPECT_EQ(eng.icHits(), static_cast<std::uint64_t>(limit) - 1);
-    EXPECT_EQ(eng.icFlushes(), 0u);
-
-    Interpreter interp(prog);
-    const InterpResult ir = interp.run();
-    EXPECT_EQ(eng.stats().apparent, ir.instructions);
-    EXPECT_EQ(eng.accum(), interp.accum());
-}
-
-TEST(FastEngine, TextDirtyResetFlushesInlineCaches)
-{
-    // Store into the text window, then loop through a call so the IC
-    // is hot when reset hits. The reset must flush (stale indices may
-    // not survive a rebuild) and the replay re-earns its hits.
+    // Store into the text window, then loop through a call so every
+    // return resolves its target. The reset must invalidate the
+    // translation, and the replay must reproduce the first run.
     Program p;
     const Addr jmp_at = p.textEnd();
     p.append(Instruction::branchRel(Opcode::kJmp, 4));
@@ -599,19 +529,20 @@ TEST(FastEngine, TextDirtyResetFlushesInlineCaches)
     FastEngine eng(p);
     eng.run();
     ASSERT_TRUE(eng.halted());
-    const std::uint64_t first_hits = eng.icHits();
-    EXPECT_GT(first_hits, 0u);
-    EXPECT_EQ(eng.icFlushes(), 0u);
+    const SimStats first = eng.stats();
+    const Word first_accum = eng.accum();
+    const Addr first_sp = eng.sp();
+    const std::vector<std::uint8_t> first_mem = eng.memory().bytes();
+    EXPECT_EQ(eng.translationEpoch(), 1u);
 
     eng.reset();
-    EXPECT_EQ(eng.icFlushes(), 1u);
     EXPECT_EQ(eng.translationEpoch(), 2u);
     eng.run();
     ASSERT_TRUE(eng.halted());
-    // The replay misses once more (the flush emptied the cache), then
-    // hits at the same rate.
-    EXPECT_EQ(eng.icMisses(), 2u);
-    EXPECT_EQ(eng.icHits(), 2 * first_hits);
+    EXPECT_EQ(eng.stats(), first);
+    EXPECT_EQ(eng.accum(), first_accum);
+    EXPECT_EQ(eng.sp(), first_sp);
+    EXPECT_EQ(eng.memory().bytes(), first_mem);
 }
 
 // ------------------------------------- directed: shared translations
@@ -658,8 +589,8 @@ TEST(FastEngine, SharedTranslationStaysPinnedAcrossTextDirtyReset)
 {
     // Text-dirty replays on a shared translation: the shared table is
     // immutable (it derives from the Program, not the image), so the
-    // engine keeps borrowing it — only the epoch and the inline caches
-    // react. Results must still match a fresh private engine exactly.
+    // engine keeps borrowing it — only the epoch reacts. Results must
+    // still match a fresh private engine exactly.
     Program p;
     p.append(Instruction::mov(Operand::abs(kTextBase),
                               Operand::imm(0x2222)));

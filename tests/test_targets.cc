@@ -3,8 +3,8 @@
  * Edge-case tests for the interprocedural indirect-target analysis
  * (analysis/targets.hh): empty/zeroed jump tables, index intervals
  * running past the table, table slots straddling the unmapped gap
- * before the data segment, and the lowering of proven sets into
- * fast-engine hints. The tampered-proof torture path (invariant 8) is
+ * before the data segment, and the dense-switch site a consumer can act
+ * on. The tampered-proof torture path (invariant 8) is
  * pinned in test_analysis.cc; the dense-switch positive path in
  * test_analysis.cc and test_cc_switch.cc.
  */
@@ -45,6 +45,15 @@ jumpSites(const AnalysisResult& r)
     return out;
 }
 
+/** A proof a consumer (devirtualization, invariant 8) may act on:
+ *  enforceable, resolved, non-empty, and free of out-of-table values. */
+bool
+cleanProof(const SiteTargets& s)
+{
+    return s.enforceable && s.resolved && !s.targets.empty() &&
+           s.invalidTargets == 0;
+}
+
 void
 pokeDataWord(Program& p, Addr addr, Word v)
 {
@@ -76,9 +85,9 @@ TEST(Targets, EmptyTableResolvesToInvalidTargetAndLints)
     EXPECT_EQ(*sites[0]->targets.begin(), 0u);
     EXPECT_EQ(sites[0]->invalidTargets, 1u);
     EXPECT_TRUE(hasRule(r, "indirect.out-of-table")) << r.toString();
-    // An all-invalid proof must never become an engine hint or a
-    // devirtualization: the "one possible target" is a fetch fault.
-    EXPECT_TRUE(hintsFromTargets(r.targets).targets.empty());
+    // An all-invalid proof must never pass for a clean one: the "one
+    // possible target" is a fetch fault.
+    EXPECT_FALSE(cleanProof(*sites[0])) << r.targetsTableText();
 }
 
 TEST(Targets, IndexIntervalPastTableKeepsInvalidValues)
@@ -86,8 +95,8 @@ TEST(Targets, IndexIntervalPastTableKeepsInvalidValues)
     // A hand-rolled dense-switch dispatch whose loop index runs to 6
     // against a 4-entry table, with no range guard: slots 4 and 5
     // read load-image zeros past the table. The analysis must keep
-    // the table hits *and* the zero, flag the overflow, and refuse to
-    // hint the site.
+    // the table hits *and* the zero, flag the overflow, and never
+    // present the site as a clean proof.
     const Addr table = kDataBase;
     Program p;
     // s0 = i, s1 = scratch address, s2 = target word
@@ -131,7 +140,8 @@ TEST(Targets, IndexIntervalPastTableKeepsInvalidValues)
             EXPECT_TRUE(s->targets.count(a)) << r.targetsTableText();
         EXPECT_GT(s->invalidTargets, 0u) << r.targetsTableText();
     }
-    EXPECT_TRUE(hintsFromTargets(r.targets).targets.empty());
+    for (const SiteTargets* s : sites)
+        EXPECT_FALSE(cleanProof(*s)) << r.targetsTableText();
 }
 
 TEST(Targets, SlotStraddlingGapBeforeDataStaysSound)
@@ -169,7 +179,7 @@ TEST(Targets, SlotStraddlingGapBeforeDataStaysSound)
     }
 }
 
-TEST(Targets, DenseSwitchLowersToSingleHintCoveringAllCases)
+TEST(Targets, DenseSwitchProvesOneSiteCoveringAllCases)
 {
     const char* src = R"(
         int main() {
@@ -189,15 +199,16 @@ TEST(Targets, DenseSwitchLowersToSingleHintCoveringAllCases)
     const cc::CompileResult res = cc::compile(src, {});
     const AnalysisResult r = analyzeProgram(res.program, {});
     ASSERT_FALSE(r.hasErrors()) << r.toString();
-    const IndirectHints hints = hintsFromTargets(r.targets);
-    ASSERT_EQ(hints.targets.size(), 1u);
-    const auto& [bpc, targets] = *hints.targets.begin();
+    const auto sites = jumpSites(r);
+    ASSERT_EQ(sites.size(), 1u) << r.targetsTableText();
+    const SiteTargets& s = *sites[0];
+    EXPECT_TRUE(cleanProof(s)) << r.targetsTableText();
     // The three case arms come through the table; the default arm is
     // reached by the range-guard direct branch, not a table slot.
-    EXPECT_GE(targets.size(), 3u);
-    for (const Addr t : targets) {
+    EXPECT_GE(s.targets.size(), 3u);
+    for (const Addr t : s.targets) {
         EXPECT_TRUE(r.cfg->indirectTargets().count(t))
-            << "hint target outside the global candidate set";
+            << "proven target outside the global candidate set";
     }
     // And the retire-time oracle agrees end to end.
     const OracleReport o = runStaticOracle(res.program, SimConfig{});

@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <sstream>
 #include <vector>
 
 #include "asm/assembler.hh"
 #include "sim/cpu.hh"
+#include "util/watchdog.hh"
 #include "verify/eventstream.hh"
 #include "verify/faults.hh"
 #include "verify/generator.hh"
@@ -408,6 +410,42 @@ TEST(Shrinker, KeepsEverythingWhenNothingReproduces)
         gp, [](const GenProgram&) { return false; });
     EXPECT_EQ(r.program.segs.size(), gp.segs.size());
     EXPECT_EQ(r.program.fns.size(), gp.fns.size());
+}
+
+TEST(Shrinker, TimeoutVerdictShrinkStaysWithinItsBudget)
+{
+    // The worst case for a TIMEOUT verdict: every candidate wedges, so
+    // every shrink test runs until the watchdog fires. Each test here
+    // runs a pipeline spinning on `jmp s` under a real watchdog timer,
+    // as crisptorture's "still times out" predicate does, and shrinks
+    // with the harness's budget. Stated bound: kTimeoutShrinkTests
+    // timeout periods plus 100 ms per test for firing latency and
+    // sanitizer overhead.
+    const Program spin = assemble(R"(
+        .entry s
+s:      jmp s
+    )");
+    constexpr auto kTimeout = std::chrono::milliseconds(50);
+    util::Watchdog wd;
+    int fired = 0;
+    const auto still_times_out = [&](const GenProgram&) {
+        CrispCpu cpu(spin, SimConfig{});
+        const auto timer = wd.arm(kTimeout);
+        cpu.setCancelFlag(&timer->fired);
+        const bool cancelled = cpu.run().cancelled;
+        fired += cancelled ? 1 : 0;
+        return cancelled;
+    };
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto r = verify::shrinkProgram(verify::generate(11),
+                                         still_times_out,
+                                         verify::kTimeoutShrinkTests);
+    const auto elapsed = std::chrono::steady_clock::now() - t0;
+    EXPECT_EQ(r.tests, verify::kTimeoutShrinkTests);
+    EXPECT_EQ(fired, r.tests);
+    EXPECT_GE(elapsed, r.tests * kTimeout);
+    EXPECT_LT(elapsed, verify::kTimeoutShrinkTests *
+                           (kTimeout + std::chrono::milliseconds(100)));
 }
 
 TEST(Shrinker, MinimizesASeededArchBugToATinyReproducer)

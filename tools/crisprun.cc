@@ -42,7 +42,6 @@
 
 #include "asm/assembler.hh"
 #include "baseline/delayed.hh"
-#include "analysis/checks.hh"
 #include "cc/compiler.hh"
 #include "interp/interpreter.hh"
 #include "isa/objfile.hh"
@@ -246,19 +245,7 @@ main(int argc, char** argv)
         }
 
         if (machine == "fast") {
-            // Feed proven indirect-target sets to the translator:
-            // singleton sets let traces chain through indirect
-            // dispatches (runtime-guarded, so a stale proof can never
-            // corrupt execution).
-            analysis::AnalysisOptions aopt;
-            aopt.predict = analysis::PredictConvention::kNone;
-            aopt.foldInfo = false;
-            const analysis::AnalysisResult ar =
-                analysis::analyzeProgram(prog, aopt);
-            IndirectHints hints;
-            if (!ar.hasErrors())
-                hints = analysis::hintsFromTargets(ar.targets);
-            FastEngine eng(prog, cfg, nullptr, nullptr, &hints);
+            FastEngine eng(prog, cfg);
             const SimStats& s = eng.run();
             std::printf("exit value: %d\n",
                         static_cast<int>(eng.accum()));
@@ -303,9 +290,10 @@ main(int argc, char** argv)
         if (machine != "pipeline")
             return usage();
 
+        // Declared before cpu so it outlives every call of the sink.
+        long remaining = trace_cycles;
         CrispCpu cpu(prog, cfg);
         if (trace_cycles > 0) {
-            long remaining = trace_cycles;
             cpu.setTraceSink([&remaining](const std::string& line) {
                 if (remaining-- > 0)
                     std::puts(line.c_str());

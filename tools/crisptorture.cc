@@ -60,8 +60,10 @@
  * one shared scanner thread (util::Watchdog) fires the pipeline's
  * cooperative cancel flag, the run comes back as Divergence::kTimeout,
  * and the seed is reported with a distinct TIMEOUT verdict — shrunk
- * like any other failure, against a "still times out" predicate. A
- * wedged run is a verdict (exit 1), never a hung harness.
+ * against a "still times out" predicate with at most
+ * kTimeoutShrinkTests tests, so a wedged (seed, config) costs at most
+ * (1 + kTimeoutShrinkTests) timeout periods. A wedged run is a verdict
+ * (exit 1), never a hung harness.
  */
 
 #include <atomic>
@@ -261,8 +263,8 @@ plainSweep(const Options& opt)
                         return runOne(cand, cfg, nullptr, opt, &wd)
                                    .kind == Divergence::kTimeout;
                     };
-                const ShrinkResult sh =
-                    shrinkProgram(gp, still_times_out);
+                const ShrinkResult sh = shrinkProgram(
+                    gp, still_times_out, kTimeoutShrinkTests);
                 char head[128];
                 std::snprintf(
                     head, sizeof(head),
@@ -426,8 +428,8 @@ engineSweep(const Options& opt)
                             return run(cand).kind ==
                                    Divergence::kTimeout;
                         };
-                    const ShrinkResult sh =
-                        shrinkProgram(gp, still_times_out);
+                    const ShrinkResult sh = shrinkProgram(
+                        gp, still_times_out, kTimeoutShrinkTests);
                     char head[128];
                     std::snprintf(
                         head, sizeof(head),
