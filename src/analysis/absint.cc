@@ -65,20 +65,14 @@ widenAbsState(const AbsState& prev, const AbsState& next, int& widenings)
         w.sp = widenSp(prev.sp, next.sp);
         ++widenings;
     }
-    for (auto it = w.mem.begin(); it != w.mem.end();) {
-        const auto p = prev.mem.find(it->first);
-        if (p == prev.mem.end()) {
-            // prev had no fact (top) here: next is narrower, fine.
-            ++it;
-            continue;
-        }
-        if (intervalGrew(p->second, it->second)) {
-            ++widenings;
-            it = w.mem.erase(it); // widen straight to top
-        } else {
-            ++it;
-        }
-    }
+    w.mem.eraseIf([&](const std::pair<Addr, Interval>& e) {
+        const auto p = prev.mem.find(e.first);
+        // No fact in prev (top) means next is narrower: keep it.
+        if (p == prev.mem.end() || !intervalGrew(p->second, e.second))
+            return false;
+        ++widenings;
+        return true; // widen straight to top
+    });
     return w;
 }
 
@@ -88,7 +82,7 @@ namespace
 /** One abstract machine the transfer function mutates in place. */
 struct Machine
 {
-    AbsState st;
+    AbsState& st;
 
     Interval
     memAt(Addr a) const
@@ -181,10 +175,10 @@ struct Machine
 
 } // namespace
 
-AbsState
-absTransfer(const DecodedInst& di, const AbsState& in)
+void
+absTransfer(const DecodedInst& di, AbsState& st)
 {
-    Machine m{in};
+    Machine m{st};
     const Instruction& b = di.body;
     const Opcode op = b.op;
 
@@ -231,8 +225,6 @@ absTransfer(const DecodedInst& di, const AbsState& in)
             m.st.mem.clear(); // push through unknown sp may alias
         }
     }
-
-    return m.st;
 }
 
 Interval
@@ -252,17 +244,18 @@ widenInterval(const Interval& prev, const Interval& next)
     return w;
 }
 
-namespace
-{
-
-/**
- * Join @p b into @p into in place; with @p flag set, @p b's flag is
- * taken as that value. The worklist joins every incoming edge this
- * way, without the copies a per-edge joinState would make.
- */
 void
-joinInto(AbsState& into, const AbsState& b,
-         const FlagVal* flag = nullptr)
+resetState(AbsState& s)
+{
+    s.reachable = false;
+    s.accum = Interval{};
+    s.sp = Interval{};
+    s.flag = FlagVal{};
+    s.mem.clear();
+}
+
+void
+joinInto(AbsState& into, const AbsState& b, const FlagVal* flag)
 {
     if (!b.reachable)
         return;
@@ -276,27 +269,13 @@ joinInto(AbsState& into, const AbsState& b,
     into.sp = hull(into.sp, b.sp);
     into.flag.mayTrue = into.flag.mayTrue || bf.mayTrue;
     into.flag.mayFalse = into.flag.mayFalse || bf.mayFalse;
-    for (auto it = into.mem.begin(); it != into.mem.end();) {
-        const auto other = b.mem.find(it->first);
-        if (other != b.mem.end()) {
-            it->second = hull(it->second, other->second);
-            if (!it->second.isTop()) {
-                ++it;
-                continue;
-            }
-        }
-        it = into.mem.erase(it); // top on one side: drop the fact
-    }
-}
-
-} // namespace
-
-AbsState
-joinState(const AbsState& a, const AbsState& b)
-{
-    AbsState j = a;
-    joinInto(j, b);
-    return j;
+    into.mem.eraseIf([&](std::pair<Addr, Interval>& e) {
+        const auto other = b.mem.find(e.first);
+        if (other == b.mem.end())
+            return true; // top on one side: drop the fact
+        e.second = hull(e.second, other->second);
+        return e.second.isTop();
+    });
 }
 
 FlagVal
@@ -566,10 +545,19 @@ interpret(const Cfg& cfg, const AbsIntOptions& opts)
     work.push(entry);
     std::vector<int> joins(cfg.size(), 0);
 
+    // The step builds the IN and OUT states in two scratch states and
+    // swaps them into place when they change, so the memory maps'
+    // buffers circulate instead of being reallocated every step.
+    AbsState i;
+    AbsState o;
     const auto step = [&](int id) {
         const CfgNode& n = cfg.at(id);
         const Addr pc = n.di.pc;
-        AbsState i = id == entry ? boundary : AbsState{};
+        if (id == entry) {
+            i = boundary;
+        } else {
+            resetState(i);
+        }
         for (const int p : n.predIds) {
             joinEdge(i, cfg.at(p), r.out[static_cast<std::size_t>(p)],
                      pc, opts.pruneEdges);
@@ -579,18 +567,27 @@ interpret(const Cfg& cfg, const AbsIntOptions& opts)
         if (!(i == in_slot)) {
             if (++joins[static_cast<std::size_t>(id)] > kAbsintWidenJoins)
                 i = widenAbsState(in_slot, i, r.widenings);
-            in_slot = std::move(i);
+            std::swap(in_slot, i);
         }
 
-        if (!in_slot.reachable)
-            return AbsState{};
-        if (n.di.totalParcels <= 0)
-            return in_slot; // decode-error placeholder: no modeled effect
-        return absTransfer(n.di, in_slot);
+        if (!in_slot.reachable) {
+            resetState(o);
+        } else {
+            o = in_slot;
+            // A decode-error placeholder has no modeled effect.
+            if (n.di.totalParcels > 0)
+                absTransfer(n.di, o);
+        }
+        AbsState& out_slot = r.out[static_cast<std::size_t>(id)];
+        if (o == out_slot)
+            return false;
+        std::swap(out_slot, o);
+        return true;
     };
 
-    if (!runWorklist(cfg, work, r.out, /*backward=*/false,
-                     absintStepCap(cfg, opts.stepCap), r.steps, step)) {
+    if (!runWorklistSteps(cfg, work, /*backward=*/false,
+                          absintStepCap(cfg, opts.stepCap), r.steps,
+                          step)) {
         // Sound bail-out: every discovered issue point is concretely
         // reachable, so all-top over-approximates any fixpoint.
         r.converged = false;

@@ -42,11 +42,11 @@
 #define CRISP_ANALYSIS_ABSINT_HH
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
 #include "cfg.hh"
+#include "flat.hh"
 
 namespace crisp::analysis
 {
@@ -131,7 +131,7 @@ struct AbsState
     FlagVal flag;
 
     /** Proven word contents keyed by absolute byte address. */
-    std::map<Addr, Interval> mem;
+    FlatMap<Addr, Interval> mem;
 
     /** Reachable state with nothing proven (the lattice top). */
     static AbsState
@@ -145,8 +145,15 @@ struct AbsState
     bool operator==(const AbsState&) const = default;
 };
 
-/** Join (least upper bound) of two abstract states. */
-AbsState joinState(const AbsState& a, const AbsState& b);
+/**
+ * Join (least upper bound) @p b into @p into in place; with @p flag
+ * set, @p b's flag is taken as that value.
+ */
+void joinInto(AbsState& into, const AbsState& b,
+              const FlagVal* flag = nullptr);
+
+/** Make @p s the unreachable seed AbsState{}, keeping its buffers. */
+void resetState(AbsState& s);
 
 /** Joins after which a node's growing intervals are widened. */
 inline constexpr int kAbsintWidenJoins = 12;
@@ -155,11 +162,11 @@ inline constexpr int kAbsintWidenJoins = 12;
 inline constexpr std::uint64_t kAbsintStepsPerNode = 64;
 
 /**
- * Abstract OUT state of @p di applied to reachable state @p in — the
- * transfer function of interpret(), shared with the value-set phase of
- * the target analysis (targets.cc).
+ * Apply @p di to reachable state @p st in place, turning its IN state
+ * into its OUT state — the transfer function of interpret(), shared
+ * with the value-set phase of the target analysis (targets.cc).
  */
-AbsState absTransfer(const DecodedInst& di, const AbsState& in);
+void absTransfer(const DecodedInst& di, AbsState& st);
 
 /** Widen every growing component of @p next against @p prev. */
 AbsState widenAbsState(const AbsState& prev, const AbsState& next,

@@ -41,11 +41,11 @@ CallGraph::CallGraph(const Cfg& cfg)
     // Reachable call sites come from the CFG (fold-exact: the call may
     // ride a carrier, in which case pc is the carrier's address).
     std::set<Addr> covered;
-    for (const auto& [pc, n] : cfg.nodes()) {
+    for (const CfgNode& n : cfg.nodes()) {
         if (n.di.ctl != Ctl::kCall)
             continue;
         CallSite s;
-        s.pc = pc;
+        s.pc = n.di.pc;
         s.callee = n.di.takenPc;
         s.retPc = n.di.callRetPc;
         s.reachable = true;

@@ -7,7 +7,6 @@
 #include "cfg.hh"
 
 #include <algorithm>
-#include <deque>
 #include <sstream>
 
 namespace crisp::analysis
@@ -98,11 +97,16 @@ Cfg::discover()
     const FoldDecoder decoder(policy_);
     const Addr text_end = prog_.textEnd();
 
-    std::deque<Addr> work;
+    // Nodes are found and decoded in FIFO order (nodes_ doubles as the
+    // queue), then renumbered in address order below. index_ marks the
+    // parcels already queued, holding discovery positions until then.
+    index_.assign(prog_.text.size(), -1);
     auto enqueue = [&](Addr pc) {
-        if (nodes_.count(pc) == 0) {
-            nodes_.emplace(pc, CfgNode{});
-            work.push_back(pc);
+        int& slot = index_[(pc - prog_.textBase) / kParcelBytes];
+        if (slot < 0) {
+            slot = static_cast<int>(nodes_.size());
+            nodes_.emplace_back();
+            nodes_.back().di.pc = pc;
         }
     };
 
@@ -113,11 +117,10 @@ Cfg::discover()
     }
 
     bool indirect_seeded = false;
-    while (!work.empty()) {
-        const Addr pc = work.front();
-        work.pop_front();
-        CfgNode& n = nodes_.at(pc);
-
+    // enqueue() grows nodes_, so no reference into it is held across
+    // a call.
+    for (std::size_t k = 0; k < nodes_.size(); ++k) {
+        const Addr pc = nodes_[k].di.pc;
         const std::size_t idx = (pc - prog_.textBase) / kParcelBytes;
         const std::span<const Parcel> window{prog_.text.data() + idx,
                                              prog_.text.size() - idx};
@@ -133,8 +136,7 @@ Cfg::discover()
                     pc, "instruction truncated by end of text segment");
             // Keep the node as a zero-length placeholder so edges to it
             // stay representable; totalParcels = 0 marks "no decode".
-            n.di.pc = pc;
-            n.di.totalParcels = 0;
+            nodes_[k].di.totalParcels = 0;
             continue;
         }
         if (di->ctl == Ctl::kSeq && di->seqPc >= text_end) {
@@ -142,9 +144,8 @@ Cfg::discover()
                 pc, "control falls through the end of the text segment");
         }
 
-        n.di = *di;
-        n.succs = successorsOf(*di, pc);
-        for (const Addr s : n.succs)
+        std::vector<Addr> succs = successorsOf(*di, pc);
+        for (const Addr s : succs)
             enqueue(s);
 
         // The first reachable indirect jump makes every jump-table
@@ -154,34 +155,34 @@ Cfg::discover()
             for (const Addr t : indTargets_)
                 enqueue(t);
         }
+        nodes_[k].di = *di;
+        nodes_[k].succs = std::move(succs);
     }
 
-    // Nodes that never decoded (errors) keep empty succs; drop their
-    // placeholder state from succ lists? They stay: a predecessor's
-    // edge to a malformed address is real and the diagnostics layer
-    // reports the decode error at that address.
-    for (auto& [pc, n] : nodes_) {
-        for (const Addr s : n.succs)
-            nodes_.at(s).preds.push_back(pc);
-    }
-    for (auto& [pc, n] : nodes_) {
-        std::sort(n.preds.begin(), n.preds.end());
-        n.preds.erase(std::unique(n.preds.begin(), n.preds.end()),
-                      n.preds.end());
+    // Number the nodes in address order.
+    std::sort(nodes_.begin(), nodes_.end(),
+              [](const CfgNode& a, const CfgNode& b) {
+                  return a.di.pc < b.di.pc;
+              });
+    for (std::size_t id = 0; id < nodes_.size(); ++id) {
+        CfgNode& n = nodes_[id];
+        n.id = static_cast<int>(id);
+        index_[(n.di.pc - prog_.textBase) / kParcelBytes] = n.id;
     }
 
-    // Number the nodes in address order; the id lists keep the sorted
-    // order of the address lists they mirror.
-    byId_.reserve(nodes_.size());
-    for (auto& [pc, n] : nodes_) {
-        n.id = static_cast<int>(byId_.size());
-        byId_.push_back(&n);
-    }
-    for (auto& [pc, n] : nodes_) {
-        for (const Addr s : n.succs)
-            n.succIds.push_back(nodes_.at(s).id);
-        for (const Addr p : n.preds)
-            n.predIds.push_back(nodes_.at(p).id);
+    // Nodes that never decoded (errors) keep empty succs, and edges to
+    // them stay: a predecessor's edge to a malformed address is real
+    // and the diagnostics layer reports the decode error there. Walking
+    // the nodes in address order appends each pred list already sorted
+    // and free of duplicates (every succ list is). The id lists keep
+    // the order of the address lists they mirror.
+    for (CfgNode& n : nodes_) {
+        for (const Addr s : n.succs) {
+            CfgNode& t = nodes_[static_cast<std::size_t>(indexOf(s))];
+            t.preds.push_back(n.di.pc);
+            t.predIds.push_back(n.id);
+            n.succIds.push_back(t.id);
+        }
     }
 }
 
@@ -213,54 +214,52 @@ Cfg::buildBlocks()
     // A node starts a block when it is not the unique fall-in of a
     // unique predecessor.
     auto is_leader = [&](const CfgNode& n) {
-        if (n.preds.size() != 1)
+        if (n.predIds.size() != 1)
             return true;
-        const CfgNode& p = nodes_.at(n.preds.front());
-        return p.succs.size() != 1;
+        return at(n.predIds.front()).succIds.size() != 1;
     };
 
-    for (auto& [pc, n] : nodes_) {
+    for (CfgNode& n : nodes_) {
         if (n.block != -1 || !is_leader(n))
             continue;
         const int id = static_cast<int>(blocks_.size());
         blocks_.emplace_back();
         CfgBlock& b = blocks_.back();
-        Addr cur = pc;
+        int cur = n.id;
         for (;;) {
-            CfgNode& cn = nodes_.at(cur);
+            CfgNode& cn = nodes_[static_cast<std::size_t>(cur)];
             cn.block = id;
-            b.entries.push_back(cur);
-            if (cn.succs.size() != 1)
+            b.entries.push_back(cn.di.pc);
+            if (cn.succIds.size() != 1)
                 break;
-            const CfgNode& nx = nodes_.at(cn.succs.front());
-            if (nx.preds.size() != 1 || nx.block != -1)
+            const CfgNode& nx = at(cn.succIds.front());
+            if (nx.predIds.size() != 1 || nx.block != -1)
                 break;
-            cur = cn.succs.front();
+            cur = nx.id;
         }
     }
     // Cycles with no leader (a loop whose every node has one pred):
     // pick the lowest-address unassigned node as a leader and repeat.
-    for (auto& [pc, n] : nodes_) {
+    for (CfgNode& n : nodes_) {
         if (n.block != -1)
             continue;
         const int id = static_cast<int>(blocks_.size());
         blocks_.emplace_back();
         CfgBlock& b = blocks_.back();
-        Addr cur = pc;
-        while (nodes_.at(cur).block == -1) {
-            CfgNode& cn = nodes_.at(cur);
+        int cur = n.id;
+        while (at(cur).block == -1) {
+            CfgNode& cn = nodes_[static_cast<std::size_t>(cur)];
             cn.block = id;
-            b.entries.push_back(cur);
-            if (cn.succs.size() != 1)
+            b.entries.push_back(cn.di.pc);
+            if (cn.succIds.size() != 1)
                 break;
-            cur = cn.succs.front();
+            cur = cn.succIds.front();
         }
     }
 
     for (CfgBlock& b : blocks_) {
-        const CfgNode& last = nodes_.at(b.entries.back());
-        for (const Addr s : last.succs) {
-            const int t = nodes_.at(s).block;
+        for (const int s : node(b.entries.back()).succIds) {
+            const int t = at(s).block;
             if (std::find(b.succs.begin(), b.succs.end(), t) ==
                 b.succs.end()) {
                 b.succs.push_back(t);
@@ -280,10 +279,10 @@ Cfg::unreachableRanges() const
     const Addr base = prog_.textBase;
     const std::size_t parcels = prog_.text.size();
     std::vector<bool> covered(parcels, false);
-    for (const auto& [pc, n] : nodes_) {
+    for (const CfgNode& n : nodes_) {
         if (n.di.totalParcels <= 0)
             continue; // decode error: nothing covered
-        const std::size_t first = (pc - base) / kParcelBytes;
+        const std::size_t first = (n.di.pc - base) / kParcelBytes;
         for (int i = 0; i < n.di.totalParcels; ++i) {
             if (first + static_cast<std::size_t>(i) < parcels)
                 covered[first + static_cast<std::size_t>(i)] = true;
@@ -321,7 +320,7 @@ Cfg::toDot() const
             // be backslash-escaped inside a quoted label — mangling
             // quotes into apostrophes changes the text, and a bare
             // backslash starts an escape sequence dot may reject.
-            for (const char c : nodes_.at(pc).di.toString()) {
+            for (const char c : node(pc).di.toString()) {
                 if (c == '"' || c == '\\')
                     os << '\\';
                 os << c;
@@ -331,7 +330,7 @@ Cfg::toDot() const
         os << "\"];\n";
     }
     for (std::size_t i = 0; i < blocks_.size(); ++i) {
-        const CfgNode& last = nodes_.at(blocks_[i].entries.back());
+        const CfgNode& last = node(blocks_[i].entries.back());
         const bool indirect = last.di.ctl == Ctl::kIndirect;
         for (const int s : blocks_[i].succs) {
             os << "  b" << i << " -> b" << s;

@@ -27,7 +27,6 @@
 #ifndef CRISP_ANALYSIS_CFG_HH
 #define CRISP_ANALYSIS_CFG_HH
 
-#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -48,7 +47,7 @@ struct CfgNode
     /** Predecessor issue-point addresses (deduplicated, sorted). */
     std::vector<Addr> preds;
     /** Dense node number: the rank of this node's pc in address order
-     *  (index into Cfg::at() and every per-node analysis vector). */
+     *  (index into Cfg::nodes() and every per-node analysis vector). */
     int id = -1;
     /** succs and preds as node numbers, in the same (address) order. */
     std::vector<int> succIds;
@@ -76,41 +75,40 @@ class Cfg
      */
     Cfg(const Program& prog, FoldPolicy policy);
 
-    // at() points into nodes_; a copy would point into the original.
-    Cfg(const Cfg&) = delete;
-    Cfg& operator=(const Cfg&) = delete;
-
     const Program& program() const { return prog_; }
     FoldPolicy policy() const { return policy_; }
 
-    bool has(Addr pc) const { return nodes_.count(pc) != 0; }
+    bool has(Addr pc) const { return indexOf(pc) >= 0; }
 
     /** @p pc must satisfy has(pc). */
     const CfgNode&
     node(Addr pc) const
     {
-        return nodes_.at(pc);
+        return nodes_.at(static_cast<std::size_t>(indexOf(pc)));
     }
 
-    /** All reachable issue points, ordered by address. */
-    const std::map<Addr, CfgNode>& nodes() const { return nodes_; }
+    /** All reachable issue points, ordered by address: nodes()[id] is
+     *  the node numbered id. */
+    const std::vector<CfgNode>& nodes() const { return nodes_; }
 
     /** Number of issue points (node ids run 0 .. size() - 1). */
-    std::size_t size() const { return byId_.size(); }
+    std::size_t size() const { return nodes_.size(); }
 
     /** The node numbered @p id (0 <= id < size()). */
     const CfgNode&
     at(int id) const
     {
-        return *byId_[static_cast<std::size_t>(id)];
+        return nodes_[static_cast<std::size_t>(id)];
     }
 
     /** Node number of @p pc, or -1 when it is not an issue point. */
     int
     indexOf(Addr pc) const
     {
-        const auto it = nodes_.find(pc);
-        return it == nodes_.end() ? -1 : it->second.id;
+        if (pc < prog_.textBase || (pc - prog_.textBase) % kParcelBytes != 0)
+            return -1;
+        const std::size_t i = (pc - prog_.textBase) / kParcelBytes;
+        return i < index_.size() ? index_[i] : -1;
     }
 
     /**
@@ -167,8 +165,10 @@ class Cfg
 
     Program prog_;
     FoldPolicy policy_;
-    std::map<Addr, CfgNode> nodes_;
-    std::vector<const CfgNode*> byId_;
+    /** The issue points in address order. */
+    std::vector<CfgNode> nodes_;
+    /** Per text parcel: the id of the node starting there, or -1. */
+    std::vector<int> index_;
     std::vector<CfgBlock> blocks_;
     std::set<Addr> indTargets_;
     bool hasIndirect_ = false;

@@ -111,10 +111,10 @@ checkCfg(const Cfg& cfg, std::vector<Diagnostic>& diags)
     // compares. The decoder derives writesCc from isCompare, so this
     // can only fire if the decode layer itself regresses — which is
     // exactly why the oracle keeps it.
-    for (const auto& [pc, n] : cfg.nodes()) {
+    for (const CfgNode& n : cfg.nodes()) {
         if (n.di.totalParcels > 0 && !n.di.loneBranch &&
             n.di.writesCc != isCompare(n.di.body.op)) {
-            emit(diags, Severity::kError, pc, "cc.writer-not-compare",
+            emit(diags, Severity::kError, n.di.pc, "cc.writer-not-compare",
                  "modifies-CC bit disagrees with the opcode class");
         }
     }
@@ -320,7 +320,7 @@ checkDataflow(const Cfg& cfg, const SccpResult& sc,
              "dead arms waste DIC reach; crispcc -O deletes them");
         run_n = 0;
     };
-    for (const auto& [pc, n] : cfg.nodes()) {
+    for (const CfgNode& n : cfg.nodes()) {
         const bool dead =
             !sc.state.in[static_cast<std::size_t>(n.id)].reachable &&
             structurally_live[static_cast<std::size_t>(n.id)] &&
@@ -330,13 +330,13 @@ checkDataflow(const Cfg& cfg, const SccpResult& sc,
             continue;
         }
         const Addr end =
-            pc + static_cast<Addr>(n.di.totalParcels) * kParcelBytes;
-        if (run_n > 0 && pc == run_end) {
+            n.di.pc + static_cast<Addr>(n.di.totalParcels) * kParcelBytes;
+        if (run_n > 0 && n.di.pc == run_end) {
             run_end = end;
             ++run_n;
         } else {
             flush();
-            run_lo = pc;
+            run_lo = n.di.pc;
             run_end = end;
             run_n = 1;
         }

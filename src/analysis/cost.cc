@@ -247,9 +247,9 @@ deadAfterConstantPruning(const Cfg& cfg, const AbsIntResult& ai)
         }
     }
 
-    for (const auto& [pc, n] : cfg.nodes()) {
-        if (live.count(pc) == 0)
-            dead.insert(pc);
+    for (const CfgNode& n : cfg.nodes()) {
+        if (live.count(n.di.pc) == 0)
+            dead.insert(n.di.pc);
     }
     return dead;
 }

@@ -53,11 +53,11 @@ analyzeSpread(const Cfg& cfg)
                 std::numeric_limits<std::uint64_t>::max(), steps, step);
 
     std::map<Addr, SpreadInfo> spread;
-    for (const auto& [pc, n] : cfg.nodes()) {
+    for (const CfgNode& n : cfg.nodes()) {
         if (n.di.totalParcels == 0 || !n.di.hasCondBranch())
             continue;
         SpreadInfo s;
-        s.pc = pc;
+        s.pc = n.di.pc;
         s.branchPc = n.di.branchPc;
         // A branch folded with its own compare issues in the same slot
         // as the CC write: separation zero by definition.
@@ -66,7 +66,7 @@ analyzeSpread(const Cfg& cfg)
             n.di.writesCc ? 0 : std::min(i.dist + 1, kSlotCap);
         s.guaranteedResolved = s.issueSlots >= kResolveSlots;
         s.compareMayBeMissing = i.noCompare;
-        spread.emplace_hint(spread.end(), pc, s);
+        spread.emplace_hint(spread.end(), n.di.pc, s);
     }
     return spread;
 }
@@ -138,7 +138,7 @@ collectBranchSites(const Cfg& cfg,
     std::map<Addr, BranchSite> sites;
     std::map<Addr, Occurrence> occ;
 
-    for (const auto& [pc, n] : cfg.nodes()) {
+    for (const CfgNode& n : cfg.nodes()) {
         const DecodedInst& di = n.di;
         if (di.totalParcels == 0 || (!di.folded && !di.loneBranch))
             continue;
@@ -153,14 +153,14 @@ collectBranchSites(const Cfg& cfg,
         s.takenPc = di.takenPc;
 
         Occurrence& o = occ[di.branchPc];
-        const auto sp = spread.find(pc);
+        const auto sp = spread.find(n.di.pc);
         const bool guaranteed =
             !di.hasCondBranch() ||
             (sp != spread.end() && sp->second.guaranteedResolved);
         if (di.folded) {
             o.folded = true;
             o.foldedGuaranteed = o.foldedGuaranteed && guaranteed;
-            s.carrierPc = pc;
+            s.carrierPc = n.di.pc;
         } else {
             o.lone = true;
             o.loneGuaranteed = o.loneGuaranteed && guaranteed;
@@ -190,7 +190,7 @@ analyzeStackWindow(const Cfg& cfg, int window_words)
 {
     std::vector<StackIssue> out;
     std::set<std::pair<Addr, std::int32_t>> seen;
-    for (const auto& [pc, n] : cfg.nodes()) {
+    for (const CfgNode& n : cfg.nodes()) {
         if (n.di.totalParcels == 0 || n.di.loneBranch)
             continue;
         for (const Operand* o : {&n.di.body.dst, &n.di.body.src}) {
@@ -198,10 +198,10 @@ analyzeStackWindow(const Cfg& cfg, int window_words)
                 continue;
             if (o->value >= 0 && o->value < window_words)
                 continue;
-            if (!seen.emplace(pc, o->value).second)
+            if (!seen.emplace(n.di.pc, o->value).second)
                 continue;
             StackIssue issue;
-            issue.pc = pc;
+            issue.pc = n.di.pc;
             issue.slot = o->value;
             issue.negative = o->value < 0;
             out.push_back(issue);

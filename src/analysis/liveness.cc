@@ -15,26 +15,19 @@ joinMemLive(const MemLive& a, const MemLive& b)
 {
     MemLive j;
     if (!a.all && !b.all) {
-        j.words = a.words;
-        j.words.insert(b.words.begin(), b.words.end());
+        j.words = setUnion(a.words, b.words);
         return j;
     }
     j.all = true;
     if (a.all && b.all) {
         // Union of two co-sets: dead only where both sides agree.
-        for (const Addr w : a.words) {
-            if (b.words.count(w))
-                j.words.insert(w);
-        }
+        j.words = setIntersection(a.words, b.words);
         return j;
     }
     // co-set ∪ finite set: dead words minus the finite live words.
     const MemLive& co = a.all ? a : b;
     const MemLive& fin = a.all ? b : a;
-    for (const Addr w : co.words) {
-        if (fin.words.count(w) == 0)
-            j.words.insert(w);
-    }
+    j.words = setDifference(co.words, fin.words);
     return j;
 }
 
@@ -261,7 +254,7 @@ computeLiveness(const Cfg& cfg, const AbsIntResult& ai)
     // Dead-definition report: reachable nodes whose only effect is
     // provably unobservable. Text-segment stores are never reported
     // (self-modifying code is observable through fetch).
-    for (const auto& [pc, n] : cfg.nodes()) {
+    for (const CfgNode& n : cfg.nodes()) {
         if (!reachable(n.id) || n.di.totalParcels <= 0 ||
             n.di.loneBranch || n.di.ctl == Ctl::kIndirect) {
             continue;
@@ -272,7 +265,7 @@ computeLiveness(const Cfg& cfg, const AbsIntResult& ai)
             // A folded branch in this same entry reads the flag the
             // compare just set; live-out alone would miss that.
             if (!lo.flag && !n.di.hasCondBranch())
-                r.dead.push_back({pc, DeadKind::kCompare, 0});
+                r.dead.push_back({n.di.pc, DeadKind::kCompare, 0});
             continue;
         }
         const bool to_accum =
@@ -280,7 +273,7 @@ computeLiveness(const Cfg& cfg, const AbsIntResult& ai)
             (b.op == Opcode::kMov && b.dst.mode == AddrMode::kAccum);
         if (to_accum) {
             if (!lo.accum)
-                r.dead.push_back({pc, DeadKind::kAccumDef, 0});
+                r.dead.push_back({n.di.pc, DeadKind::kAccumDef, 0});
             continue;
         }
         const bool to_mem =
@@ -292,7 +285,7 @@ computeLiveness(const Cfg& cfg, const AbsIntResult& ai)
         Xfer x{LiveSet{}, ai.in[static_cast<std::size_t>(n.id)]};
         const auto a = x.address(b.dst);
         if (a && !prog.inText(*a) && !lo.mem.isLive(*a))
-            r.dead.push_back({pc, DeadKind::kMemStore, *a});
+            r.dead.push_back({n.di.pc, DeadKind::kMemStore, *a});
     }
     return r;
 }

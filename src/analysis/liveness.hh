@@ -23,11 +23,10 @@
 #ifndef CRISP_ANALYSIS_LIVENESS_HH
 #define CRISP_ANALYSIS_LIVENESS_HH
 
-#include <map>
-#include <set>
 #include <vector>
 
 #include "absint.hh"
+#include "flat.hh"
 
 namespace crisp::analysis
 {
@@ -41,7 +40,7 @@ struct MemLive
     /** When true, every word is live except those in `words`. */
     bool all = false;
     /** Live-set (all == false) or dead-set (all == true). */
-    std::set<Addr> words;
+    FlatSet<Addr> words;
 
     bool
     isLive(Addr a) const

@@ -78,12 +78,12 @@ std::map<Addr, bool>
 agreedDirections(const AnalysisResult& a)
 {
     std::map<Addr, std::optional<bool>> by_branch;
-    for (const auto& [pc, n] : a.cfg->nodes()) {
+    for (const CfgNode& n : a.cfg->nodes()) {
         if (!n.di.hasCondBranch())
             continue;
-        if (a.sccp.executable.count(pc) == 0)
+        if (a.sccp.executable.count(n.di.pc) == 0)
             continue;
-        const auto pit = a.sccp.provenDirection.find(pc);
+        const auto pit = a.sccp.provenDirection.find(n.di.pc);
         std::optional<bool> v;
         if (pit != a.sccp.provenDirection.end())
             v = pit->second;
@@ -168,10 +168,10 @@ optimize(const cc::CompileResult& base, const cc::CompileOptions& copts,
 
         // 2a. Items no executable issue point covers.
         std::set<Addr> covered;
-        for (const auto& [pc, n] : a.cfg->nodes()) {
-            if (a.sccp.executable.count(pc) == 0)
+        for (const CfgNode& n : a.cfg->nodes()) {
+            if (a.sccp.executable.count(n.di.pc) == 0)
                 continue;
-            covered.insert(pc);
+            covered.insert(n.di.pc);
             if (n.di.folded)
                 covered.insert(n.di.branchPc);
         }

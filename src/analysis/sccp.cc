@@ -20,15 +20,15 @@ sccp(const Cfg& cfg, const AbsIntOptions& opts)
 
     // After a step-cap bail every state is top: all nodes executable,
     // no direction proven.
-    for (const auto& [pc, n] : cfg.nodes()) {
+    for (const CfgNode& n : cfg.nodes()) {
         const auto id = static_cast<std::size_t>(n.id);
         if (!r.state.in[id].reachable)
             continue;
-        r.executable.insert(r.executable.end(), pc);
+        r.executable.insert(r.executable.end(), n.di.pc);
         if (!n.di.hasCondBranch())
             continue;
         if (const auto f = r.state.out[id].flag.constant())
-            r.provenDirection.emplace_hint(r.provenDirection.end(), pc,
+            r.provenDirection.emplace_hint(r.provenDirection.end(), n.di.pc,
                                            n.di.condTaken(*f));
     }
     return r;

@@ -22,8 +22,7 @@ joinValueSet(const ValueSet& a, const ValueSet& b)
 {
     if (a.top || b.top)
         return ValueSet::topSet();
-    ValueSet r{false, a.vals};
-    r.vals.insert(b.vals.begin(), b.vals.end());
+    ValueSet r{false, setUnion(a.vals, b.vals)};
     if (r.vals.size() > kValueSetCap)
         return ValueSet::topSet();
     return r;
@@ -188,7 +187,7 @@ struct VsState
 {
     AbsState base;
     /** Exact finite sets for tracked words; absent means top. */
-    std::map<Addr, ValueSet> sets;
+    FlatMap<Addr, ValueSet> sets;
 
     static VsState
     anyState()
@@ -199,24 +198,26 @@ struct VsState
     bool operator==(const VsState&) const = default;
 };
 
-VsState
-joinVs(const VsState& a, const VsState& b)
+/** Join @p b into @p into in place: the interval join, plus pointwise
+ *  union of the words both sides track. */
+void
+joinVsInto(VsState& into, const VsState& b)
 {
-    if (!a.base.reachable)
-        return b;
     if (!b.base.reachable)
-        return a;
-    VsState j;
-    j.base = joinState(a.base, b.base);
-    for (const auto& [addr, va] : a.sets) {
-        const auto it = b.sets.find(addr);
-        if (it == b.sets.end())
-            continue; // top on the other side
-        ValueSet u = joinValueSet(va, it->second);
-        if (!u.top)
-            j.sets.emplace(addr, std::move(u));
+        return;
+    if (!into.base.reachable) {
+        into = b;
+        return;
     }
-    return j;
+    joinInto(into.base, b.base);
+    into.sets.eraseIf([&](std::pair<Addr, ValueSet>& e) {
+        const auto it = b.sets.find(e.first);
+        if (it == b.sets.end())
+            return true; // top on the other side
+        if (!(e.second == it->second))
+            e.second = joinValueSet(e.second, it->second);
+        return e.second.top;
+    });
 }
 
 VsState
@@ -382,15 +383,14 @@ class VsMachine
     const MayWrite& mw_;
 };
 
-/** Transfer: absTransfer on the interval layer, a mirrored store
- *  discipline on the set layer. */
-VsState
-vsTransfer(const DecodedInst& di, const VsState& in,
+/** Transfer of reachable state @p in into @p out: absTransfer on the
+ *  interval layer, a mirrored store discipline on the set layer. */
+void
+vsTransfer(const DecodedInst& di, const VsState& in, VsState& out,
            const InitialImage& img, const MayWrite& mw)
 {
-    VsState out;
-    out.base = absTransfer(di, in.base);
-    out.sets = in.sets;
+    out = in;
+    absTransfer(di, out.base);
     const VsMachine m(in, img, mw);
 
     const Instruction& b = di.body;
@@ -437,7 +437,6 @@ vsTransfer(const DecodedInst& di, const VsState& in,
             out.sets.clear();
         }
     }
-    return out;
 }
 
 /** Interval implied for x by (x REL c) == flag; lo > hi when the
@@ -516,7 +515,8 @@ bodyMayWrite(const DecodedInst& di, const AbsState& in, Addr a)
     if (di.ctl == Ctl::kCall) {
         // The push lands at the post-push SP (the body may itself have
         // moved SP); absTransfer knows both effects.
-        const AbsState out = absTransfer(di, in);
+        AbsState out = in;
+        absTransfer(di, out);
         mw.add(out.sp.lo, out.sp.hi + kWordBytes,
                ~Addr{0} - kWordBytes);
     }
@@ -566,6 +566,8 @@ struct VsContext
     /** Per CfgNode::id. */
     std::vector<VsState> in;
     std::vector<VsState> out;
+    /** Scratch for one refined edge state. */
+    VsState edge;
 };
 
 /**
@@ -660,41 +662,45 @@ refineCompareOperand(VsContext& vc, const CfgNode& pn, bool edge_flag,
     return true;
 }
 
-/** State flowing from predecessor @p pn (post-state @p po) into
- *  @p pc — sccp's edgeState plus guard refinement. */
-VsState
-vsEdgeState(VsContext& vc, const CfgNode& pn, const VsState& po,
-            Addr pc)
+/** Join into @p into what the edge from predecessor @p pn (post-state
+ *  @p po) carries into @p pc — sccp's edge pruning plus guard
+ *  refinement. */
+void
+joinVsEdge(VsContext& vc, VsState& into, const CfgNode& pn,
+           const VsState& po, Addr pc)
 {
     const DecodedInst& pdi = pn.di;
-    if (pdi.ctl == Ctl::kCall && pc == pdi.callRetPc)
-        return po.base.reachable ? VsState::anyState() : VsState{};
-    if (!po.base.reachable || !pdi.hasCondBranch())
-        return po;
-
-    const Addr taken = pdi.takenPc;
-    const Addr seq = pdi.seqPc;
-    if (taken == seq)
-        return po;
+    if (pdi.ctl == Ctl::kCall && pc == pdi.callRetPc) {
+        static const VsState havoc = VsState::anyState();
+        if (po.base.reachable)
+            joinVsInto(into, havoc);
+        return;
+    }
+    if (!po.base.reachable || !pdi.hasCondBranch() ||
+        pdi.takenPc == pdi.seqPc) {
+        joinVsInto(into, po);
+        return;
+    }
 
     bool edge_flag;
-    if (pc == taken) {
+    if (pc == pdi.takenPc) {
         edge_flag = pdi.ctl == Ctl::kCondT;
-    } else if (pc == seq) {
+    } else if (pc == pdi.seqPc) {
         edge_flag = pdi.ctl == Ctl::kCondF;
     } else {
-        return po;
+        joinVsInto(into, po);
+        return;
     }
 
     const bool feasible =
         edge_flag ? po.base.flag.mayTrue : po.base.flag.mayFalse;
     if (!feasible)
-        return VsState{};
-    VsState r = po;
+        return;
+    VsState& r = vc.edge;
+    r = po;
     r.base.flag = FlagVal::known(edge_flag);
-    if (!refineCompareOperand(vc, pn, edge_flag, r))
-        return VsState{};
-    return r;
+    if (refineCompareOperand(vc, pn, edge_flag, r))
+        joinVsInto(into, r);
 }
 
 } // namespace
@@ -718,7 +724,7 @@ analyzeTargets(const Cfg& cfg, const CallGraph& cg,
     // value phase below is at least as precise (refinement only prunes
     // paths), so this may-write set over-approximates its world too.
     MayWrite mw;
-    for (const auto& [pc, n] : cfg.nodes()) {
+    for (const CfgNode& n : cfg.nodes()) {
         const auto id = static_cast<std::size_t>(n.id);
         const AbsState& in = sccp_result.state.in[id];
         if (!in.reachable)
@@ -727,7 +733,7 @@ analyzeTargets(const Cfg& cfg, const CallGraph& cg,
             // Decode-error node: the interpreter executes the raw
             // instruction; model its stores from the raw view.
             try {
-                const Instruction raw = prog.fetch(pc);
+                const Instruction raw = prog.fetch(n.di.pc);
                 addBodyWrites(false, raw, in, prog.memBytes, mw);
                 if (raw.op == Opcode::kCall) {
                     mw.add(in.sp.lo - kWordBytes, in.sp.hi,
@@ -752,7 +758,7 @@ analyzeTargets(const Cfg& cfg, const CallGraph& cg,
     // Phase B: the value-set fixpoint, run like sccp: same worklist,
     // same widening, edges pruned and refined.
     VsContext vc{cfg, img, mw, std::vector<VsState>(cfg.size()),
-                 std::vector<VsState>(cfg.size())};
+                 std::vector<VsState>(cfg.size()), VsState{}};
 
     VsState boundary;
     boundary.base.reachable = true;
@@ -764,22 +770,22 @@ analyzeTargets(const Cfg& cfg, const CallGraph& cg,
 
     const auto fallbackSites = [&] {
         r.sites.clear();
-        for (const auto& [pc, n] : cfg.nodes()) {
+        for (const CfgNode& n : cfg.nodes()) {
             if (n.di.ctl == Ctl::kIndirect) {
                 SiteTargets s;
-                s.pc = pc;
+                s.pc = n.di.pc;
                 s.branchPc = n.di.branchPc;
                 s.kind = TargetSiteKind::kIndirectJump;
                 s.targets = cfg.indirectTargets();
-                r.sites.emplace(pc, std::move(s));
+                r.sites.emplace(n.di.pc, std::move(s));
             } else if (n.di.ctl == Ctl::kRet) {
                 SiteTargets s;
-                s.pc = pc;
-                s.branchPc = pc;
+                s.pc = n.di.pc;
+                s.branchPc = n.di.pc;
                 s.kind = TargetSiteKind::kReturn;
-                s.targets = cg.returnSitesOf(pc);
+                s.targets = cg.returnSitesOf(n.di.pc);
                 s.fromReturnMatch = true;
-                r.sites.emplace(pc, std::move(s));
+                r.sites.emplace(n.di.pc, std::move(s));
             }
         }
     };
@@ -793,31 +799,48 @@ analyzeTargets(const Cfg& cfg, const CallGraph& cg,
     NodeQueue work(cfg.size());
     work.push(entry);
     std::vector<int> joins(cfg.size(), 0);
+    // Scratch IN and OUT states, swapped into place on change (as in
+    // interpret()).
+    VsState i;
+    VsState o;
+    const auto reset = [](VsState& s) {
+        resetState(s.base);
+        s.sets.clear();
+    };
     const auto step = [&](int id) {
         const CfgNode& n = cfg.at(id);
-        VsState i = id == entry ? boundary : VsState{};
+        if (id == entry)
+            i = boundary;
+        else
+            reset(i);
         for (const int p : n.predIds) {
-            i = joinVs(i, vsEdgeState(vc, cfg.at(p),
-                                      vc.out[static_cast<std::size_t>(p)],
-                                      n.di.pc));
+            joinVsEdge(vc, i, cfg.at(p),
+                       vc.out[static_cast<std::size_t>(p)], n.di.pc);
         }
 
         VsState& in_slot = vc.in[static_cast<std::size_t>(id)];
         if (!(i == in_slot)) {
             if (++joins[static_cast<std::size_t>(id)] > kAbsintWidenJoins)
                 i = widenVs(in_slot, i, r.widenings);
-            in_slot = std::move(i);
+            std::swap(in_slot, i);
         }
 
         if (!in_slot.base.reachable)
-            return VsState{};
-        if (n.di.totalParcels <= 0)
-            return in_slot;
-        return vsTransfer(n.di, in_slot, img, mw);
+            reset(o);
+        else if (n.di.totalParcels <= 0)
+            o = in_slot;
+        else
+            vsTransfer(n.di, in_slot, o, img, mw);
+        VsState& out_slot = vc.out[static_cast<std::size_t>(id)];
+        if (o == out_slot)
+            return false;
+        std::swap(out_slot, o);
+        return true;
     };
 
-    if (!runWorklist(cfg, work, vc.out, /*backward=*/false,
-                     absintStepCap(cfg, opts.stepCap), r.steps, step)) {
+    if (!runWorklistSteps(cfg, work, /*backward=*/false,
+                          absintStepCap(cfg, opts.stepCap), r.steps,
+                          step)) {
         // Sound bail-out: every site keeps its ⊤ fallback set.
         r.converged = false;
         fallbackSites();
@@ -826,7 +849,7 @@ analyzeTargets(const Cfg& cfg, const CallGraph& cg,
 
     // Extraction: per reachable indirect/return site, read the target
     // word's value set out of the fixpoint.
-    for (const auto& [pc, n] : cfg.nodes()) {
+    for (const CfgNode& n : cfg.nodes()) {
         const DecodedInst& di = n.di;
         if (di.ctl != Ctl::kIndirect && di.ctl != Ctl::kRet)
             continue;
@@ -835,7 +858,7 @@ analyzeTargets(const Cfg& cfg, const CallGraph& cg,
             continue;
 
         SiteTargets s;
-        s.pc = pc;
+        s.pc = n.di.pc;
         if (di.ctl == Ctl::kIndirect) {
             s.branchPc = di.branchPc;
             s.kind = TargetSiteKind::kIndirectJump;
@@ -869,7 +892,7 @@ analyzeTargets(const Cfg& cfg, const CallGraph& cg,
                 s.targets = cfg.indirectTargets();
             }
         } else {
-            s.branchPc = pc;
+            s.branchPc = n.di.pc;
             s.kind = TargetSiteKind::kReturn;
             // The pop reads the word above the deallocated frame:
             // in-SP + frame words (returns are never folded).
@@ -892,11 +915,11 @@ analyzeTargets(const Cfg& cfg, const CallGraph& cg,
                         ++s.invalidTargets;
                 }
             } else {
-                s.targets = cg.returnSitesOf(pc);
+                s.targets = cg.returnSitesOf(n.di.pc);
                 s.fromReturnMatch = true;
             }
         }
-        r.sites.emplace(pc, std::move(s));
+        r.sites.emplace(n.di.pc, std::move(s));
     }
     return r;
 }

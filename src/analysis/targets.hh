@@ -57,6 +57,7 @@
 #include "absint.hh"
 #include "callgraph.hh"
 #include "cfg.hh"
+#include "flat.hh"
 #include "sccp.hh"
 
 namespace crisp::analysis
@@ -72,7 +73,7 @@ inline constexpr std::size_t kValueSetMemCap = 64;
 struct ValueSet
 {
     bool top = true;
-    std::set<std::int32_t> vals;
+    FlatSet<std::int32_t> vals;
 
     static ValueSet topSet() { return {}; }
 

@@ -64,13 +64,36 @@ class NodeQueue
 };
 
 /**
- * Run @p queue to a fixpoint. Each step pops the oldest node and asks
- * @p step for the state that node now hands its neighbours (OUT for a
- * forward problem, IN for a backward one). When it differs from
- * flow[id] it is stored and the neighbours are queued: successors, or
- * predecessors when @p backward. @p steps counts the steps taken.
+ * Run @p queue to a fixpoint. Each step pops the oldest node and lets
+ * @p step recompute the state that node hands its neighbours (OUT for
+ * a forward problem, IN for a backward one), stored wherever the pass
+ * keeps it; @p step returns true when that state changed, and the
+ * neighbours are then queued: successors, or predecessors when
+ * @p backward. @p steps counts the steps taken.
  * @return false when a step past @p step_cap was due: the caller's
  * cue for its sound bail-out.
+ */
+template <class Step>
+bool
+runWorklistSteps(const Cfg& cfg, NodeQueue& queue, bool backward,
+                 std::uint64_t step_cap, std::uint64_t& steps, Step step)
+{
+    while (!queue.empty()) {
+        if (++steps > step_cap)
+            return false;
+        const int id = queue.pop();
+        if (!step(id))
+            continue;
+        const CfgNode& n = cfg.at(id);
+        for (const int m : backward ? n.predIds : n.succIds)
+            queue.push(m);
+    }
+    return true;
+}
+
+/**
+ * runWorklistSteps over states kept in @p flow: @p step returns the
+ * node's new state, which replaces flow[id] when it differs.
  */
 template <class State, class Step>
 bool
@@ -78,20 +101,15 @@ runWorklist(const Cfg& cfg, NodeQueue& queue, std::vector<State>& flow,
             bool backward, std::uint64_t step_cap, std::uint64_t& steps,
             Step step)
 {
-    while (!queue.empty()) {
-        if (++steps > step_cap)
-            return false;
-        const int id = queue.pop();
-        State s = step(id);
-        State& slot = flow[static_cast<std::size_t>(id)];
-        if (s == slot)
-            continue;
-        slot = std::move(s);
-        const CfgNode& n = cfg.at(id);
-        for (const int m : backward ? n.predIds : n.succIds)
-            queue.push(m);
-    }
-    return true;
+    return runWorklistSteps(
+        cfg, queue, backward, step_cap, steps, [&](int id) {
+            State s = step(id);
+            State& slot = flow[static_cast<std::size_t>(id)];
+            if (s == slot)
+                return false;
+            slot = std::move(s);
+            return true;
+        });
 }
 
 } // namespace crisp::analysis

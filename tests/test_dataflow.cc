@@ -44,7 +44,7 @@ hasRule(const AnalysisResult& r, const std::string& rule)
 const CfgNode*
 findBody(const Cfg& cfg, Opcode op)
 {
-    for (const auto& [pc, n] : cfg.nodes()) {
+    for (const CfgNode& n : cfg.nodes()) {
         if (n.di.body.op == op)
             return &n;
     }
@@ -72,7 +72,7 @@ main:
     EXPECT_EQ(live.dead[0].kind, DeadKind::kMemStore);
     // The dead one is the first store (lowest pc in the function).
     for (const DeadStore& d : live.dead)
-        EXPECT_LT(d.pc, cfg.nodes().rbegin()->first);
+        EXPECT_LT(d.pc, cfg.nodes().back().di.pc);
 }
 
 TEST(Liveness, FinalGlobalStoreIsLiveAtHalt)
@@ -205,7 +205,8 @@ int main()
     const SccpResult sc = sccp(cfg);
     EXPECT_GE(sc.provenDirection.size(), 2u);
     int sccp_only_unreachable = 0;
-    for (const auto& [pc, n] : cfg.nodes()) {
+    for (const CfgNode& n : cfg.nodes()) {
+        const Addr pc = n.di.pc;
         const bool plain = ai.inAt(pc).reachable;
         const bool sparse = sc.state.inAt(pc).reachable;
         EXPECT_TRUE(!sparse || plain)
@@ -257,7 +258,8 @@ TEST(Sccp, AtLeastAsPreciseAsAbsintAcross60Seeds)
         const SccpResult sc = sccp(cfg);
         if (!ai.converged || !sc.state.converged)
             continue; // a bail degrades to top; containment is moot
-        for (const auto& [pc, n] : cfg.nodes()) {
+        for (const CfgNode& n : cfg.nodes()) {
+            const Addr pc = n.di.pc;
             EXPECT_TRUE(stateIn(sc.state.inAt(pc), ai.inAt(pc)))
                 << "seed " << seed << " node " << pc
                 << ": SCCP in-state escapes the plain in-state";
@@ -289,7 +291,8 @@ TEST(Absint, PlainRunReachesExactlyTheCfgClosureAcross200Seeds)
                 continue;
             ++converged;
             const std::vector<bool> live = cfg.reachableFromEntry();
-            for (const auto& [pc, n] : cfg.nodes()) {
+            for (const CfgNode& n : cfg.nodes()) {
+                const Addr pc = n.di.pc;
                 EXPECT_EQ(ai.inAt(pc).reachable,
                           live[static_cast<std::size_t>(n.id)])
                     << "seed " << seed << " fold "
