@@ -262,19 +262,6 @@ Translation::linkSuccessors()
             t.takenIdx = indexOf(t.takenPc);
         }
     }
-    // Superblock lengths, computed backward: a sequential op's
-    // successor index is strictly greater than its own (seqPc > pc), so
-    // every chain value on the right is already final.
-    for (std::size_t i = ops_.size(); i-- > 0;) {
-        TOp& t = ops_[i];
-        if (t.kind != TKind::kChain)
-            continue;
-        t.chain = 1;
-        if (t.seqIdx != kNoIdx &&
-            ops_[t.seqIdx].kind == TKind::kChain) {
-            t.chain += ops_[t.seqIdx].chain;
-        }
-    }
 }
 
 void

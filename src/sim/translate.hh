@@ -147,10 +147,6 @@ struct TOp
     std::uint32_t seqIdx = kNoIdx;
     std::uint32_t takenIdx = kNoIdx;
 
-    /** kChain: number of sequential ops in the superblock starting
-     *  here (>= 1), ending just before a control/trap op. */
-    std::uint32_t chain = 0;
-
     /**
      * Entries in the statically-determined trace starting here: a run
      * of sequential ops *and* — when chaining is enabled —

@@ -159,16 +159,13 @@ TEST(Translation, SuperblockChainsCoverStraightLineRuns)
     ASSERT_NE(entry, kNoIdx);
     const TOp& first = tr.ops()[entry];
     EXPECT_EQ(first.kind, TKind::kChain);
-    // mov; add; then cmp folds with iftjmp -> chain of 2, ending at
+    // mov; add; then cmp folds with iftjmp -> a trace of 2, ending at
     // the folded conditional.
-    EXPECT_EQ(first.chain, 2u);
-    const TOp& term = tr.ops()[first.seqIdx != kNoIdx
-                                   ? tr.ops()[entry].seqIdx
-                                   : entry];
-    (void)term;
-    // Walk to the chain's terminator and check it is the folded branch.
+    EXPECT_EQ(first.trace, 2u);
+    EXPECT_EQ(first.traceInstr, 2u);
+    // Walk to the trace's terminator and check it is the folded branch.
     std::uint32_t ip = entry;
-    for (std::uint32_t n = first.chain; n > 0; --n)
+    for (std::uint32_t n = first.trace; n > 0; --n)
         ip = tr.ops()[ip].seqIdx;
     ASSERT_NE(ip, kNoIdx);
     const TOp& branch = tr.ops()[ip];
@@ -178,9 +175,10 @@ TEST(Translation, SuperblockChainsCoverStraightLineRuns)
     EXPECT_EQ(branch.branchOp, Opcode::kIfTJmp);
     EXPECT_NE(branch.takenIdx, kNoIdx);
 
-    // Under kNone nothing folds: the chain also swallows the compare.
+    // Under kNone nothing folds: the trace also swallows the compare.
     Translation none(p, FoldPolicy::kNone);
-    EXPECT_EQ(none.ops()[none.entryIndex()].chain, 3u);
+    EXPECT_EQ(none.ops()[none.entryIndex()].trace, 3u);
+    EXPECT_EQ(none.ops()[none.entryIndex()].traceInstr, 3u);
 }
 
 TEST(Translation, RebuildBumpsEpoch)
@@ -347,10 +345,9 @@ TEST(Translation, TracesChainAcrossFoldedAlwaysTakenJump)
     ASSERT_NE(entry, kNoIdx);
     const TOp& head = tr.ops()[entry];
     ASSERT_EQ(head.kind, TKind::kChain);
-    // Chains stop at the jump; traces walk through it: mov, then the
-    // folded (add+jmp) pair, then the trailing add — 3 entries for 4
-    // architectural instructions.
-    EXPECT_EQ(head.chain, 1u);
+    // The sequential run stops at the jump; the trace walks through
+    // it: mov, then the folded (add+jmp) pair, then the trailing add —
+    // 3 entries for 4 architectural instructions.
     EXPECT_EQ(head.trace, 3u);
     EXPECT_EQ(head.traceInstr, 4u);
     const TOp& jump = tr.ops()[head.seqIdx];
@@ -361,16 +358,20 @@ TEST(Translation, TracesChainAcrossFoldedAlwaysTakenJump)
     EXPECT_EQ(jump.trace, 2u);
     EXPECT_EQ(jump.traceInstr, 3u);
 
-    // Chaining off: traces degenerate to the PR 7 chains — kChain ops
-    // cover exactly their chain, control ops are not walkable at all.
+    // Chaining off: a kChain op's trace covers exactly the run of
+    // sequential ops starting there; control ops are not walkable.
     Translation flat(p, FoldPolicy::kCrisp, nullptr,
                      /*enable_chaining=*/false);
     for (std::uint32_t i = 0; i < flat.size(); ++i) {
         const TOp& t = flat.ops()[i];
-        if (t.kind == TKind::kChain)
-            EXPECT_EQ(t.trace, t.chain);
-        else
-            EXPECT_EQ(t.trace, 0u);
+        std::uint32_t run = 0;
+        for (std::uint32_t j = i;
+             j != kNoIdx && flat.ops()[j].kind == TKind::kChain;
+             j = flat.ops()[j].seqIdx) {
+            ++run;
+        }
+        EXPECT_EQ(t.trace, run);
+        EXPECT_EQ(t.traceInstr, run);
     }
 }
 
